@@ -11,11 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import circle, oracle, primes, structure
 from .circle import CirclePoint, NormalizedTriple
+
+
+# argparse reads a token as a negative number, not an option, only when it
+# matches its parser's _negative_number_matcher, which knows integers and
+# decimals but not "-4/5". The rational positionals widen it to anything
+# that starts with "-" and a digit; no option here does.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _fraction(text: str) -> Fraction:
@@ -238,15 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor-point", parents=[common], help="basis factorization of a circle point")
     p.add_argument("s", type=_fraction)
     p.add_argument("t", type=_fraction)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.set_defaults(func=_cmd_factor_point)
 
     p = sub.add_parser("project", parents=[common], help="stereographic projection of a circle point")
     p.add_argument("s", type=_fraction)
     p.add_argument("t", type=_fraction)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("unproject", parents=[common], help="circle point of a rational projection value")
     p.add_argument("r", type=_fraction)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
     p.set_defaults(func=_cmd_unproject)
 
     p = sub.add_parser("oracle", parents=[common], help="brute-force triples with hypotenuse c")

@@ -14,12 +14,14 @@ from typing import NamedTuple, Optional
 
 from .exactmath import GaussianInt, gaussian_gcd
 
-# Witnesses proving compositeness for every composite below 3.3e24
-# (so in particular the test is deterministic for all 64-bit inputs).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 prime bases prove compositeness for every composite below
+# psi_13 = 3.3e24, the smallest strong pseudoprime to all of them (OEIS
+# A014233); so in particular the test is deterministic for all 64-bit inputs.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
-_TRIAL_LIMIT = 10**6
+# Trial division stops here; cofactors are proven prime or split by rho.
+_TRIAL_LIMIT = 10**4
 
 
 class PrimeClass(Enum):
@@ -64,7 +66,7 @@ def is_prime(n: int) -> bool:
         raise ValueError("is_prime expects a nonnegative integer")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < _MR_PROVEN_BOUND:
@@ -133,23 +135,21 @@ def factorize(c: int) -> Factorization:
             factors[d] = factors.get(d, 0) + 1
             n //= d
         d += 2
-    if n > 1:
-        if d * d > n or is_prime(n):
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            # cofactor beyond the trial range: split it with Pollard rho
-            rng = random.Random(n)
-            stack = [n]
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    factors[m] = factors.get(m, 0) + 1
-                    continue
-                f = _pollard_rho(m, rng)
-                stack.append(f)
-                stack.append(m // f)
+    # the cofactor has no prime factor up to the trial limit: prove each
+    # piece prime or split it with Pollard rho
+    rng = random.Random(n)
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        f = _pollard_rho(m, rng)
+        stack.append(f)
+        stack.append(m // f)
     entries = sorted(factors.items())
-    assert math.prod(p**e for p, e in entries) == c
+    if math.prod(p**e for p, e in entries) != c:
+        raise ArithmeticError(f"factorize({c}): the factors {entries} do not multiply to {c}")
     return entries
 
 
@@ -201,5 +201,6 @@ def two_squares(p: int, rng: Optional[random.Random] = None) -> TwoSquares:
     x = _sqrt_minus_one(p, rng)
     g = gaussian_gcd(GaussianInt(p), GaussianInt(x, 1))
     m, n = sorted((abs(g.re), abs(g.im)))
-    assert 0 < m < n and m * m + n * n == p
+    if not (0 < m < n and m * m + n * n == p):
+        raise ArithmeticError(f"two_squares({p}): {m}**2 + {n}**2 is not a decomposition")
     return TwoSquares(m, n)

@@ -15,6 +15,8 @@ def test_count(capsys):
     assert run(capsys, "count", "65") == (0, "2\n", "")
     assert run(capsys, "count", "12") == (0, "0\n", "")
     assert run(capsys, "count", "3125") == (0, "1\n", "")
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to 12 bases
+    assert run(capsys, "count", "318665857834031151167461") == (0, "2\n", "")
 
 
 def test_count_rejects_bad_input(capsys):
@@ -94,6 +96,16 @@ def test_factor_point(capsys):
     assert code == 0 and out == "unit i^0\n"
     code, out, _ = run(capsys, "factor-point", "3/5", "4/5")
     assert out.splitlines() == ["unit i^2", "5 -1"]
+
+
+def test_negative_rationals_are_positionals(capsys):
+    assert run(capsys, "factor-point", "3/5", "-4/5") == (0, "unit i^2\n5 1\n", "")
+    assert run(capsys, "factor-point", "--", "3/5", "-4/5") == (0, "unit i^2\n5 1\n", "")
+    assert run(capsys, "project", "-3/5", "4/5") == (0, "-3\n", "")
+    assert run(capsys, "project", "-3/5", "-4/5", "--json")[1] == (
+        '{"command": "project", "input": {"s": "-3/5", "t": "-4/5"}, "result": "-1/3"}\n'
+    )
+    assert run(capsys, "unproject", "-3/2") == (0, "-12/13 5/13\n", "")
 
 
 def test_factor_point_rejects_off_circle(capsys):

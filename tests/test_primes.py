@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from circletriples import primes
+from circletriples.exactmath import GaussianInt
 from circletriples.primes import (
     PrimeClass,
     classify,
@@ -22,6 +24,17 @@ def test_is_prime_examples():
     assert not is_prime(3125)  # 5^5
     assert not is_prime(0) and not is_prime(1)
     assert is_prime(10**9 + 7)
+
+
+# psi_12 and psi_13: the smallest strong pseudoprimes to the first 12 and
+# the first 13 prime bases (OEIS A014233)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_psi_12_and_psi_13():
+    assert not is_prime(PSI_12)
+    assert not is_prime(PSI_13)
 
 
 def test_is_prime_matches_sieve():
@@ -44,6 +57,30 @@ def test_factorize_rejects_small():
 def test_factorize_large_cofactor_uses_rho():
     p, q = 10**9 + 7, 10**9 + 9
     assert factorize(p * q) == [(p, 1), (q, 1)]
+
+
+def test_factorize_splits_psi_12():
+    assert factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+
+
+def test_factorize_around_the_trial_bound_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    below, above = (9949, 9967, 9973), (10007, 10009, 10037)  # primes either side of 1e4
+    cases = [10007**2, 10007**3, 1000003**2, 1000003**3]
+    cases += [9967 * 9973, 10007 * 10009, 9973 * 10007]
+    cases += [math.prod(below), math.prod(above), 9967 * 9973 * 10037, 9973 * 10009 * 10037]
+    cases += [2**3 * 3**2 * 5 * 13**3 * 9973**2]
+    cases += [2**k * 999999999989 for k in (1, 20, 61)]
+    for c in cases:
+        assert factorize(c) == sorted(sympy.factorint(c).items()), c
+
+
+def test_factorize_certificate_survives_optimization(monkeypatch):
+    # a rho "factor" that does not divide: both pieces are prime, so only
+    # the product certificate can notice; it must raise even under -O
+    monkeypatch.setattr(primes, "_pollard_rho", lambda m, rng: 10067)
+    with pytest.raises(ArithmeticError, match="do not multiply"):
+        factorize(10007 * 10009)
 
 
 @given(st.integers(min_value=2, max_value=10**6))
@@ -99,3 +136,9 @@ def test_two_squares_output_ignores_seed():
     for p in (5, 13, 97, 10009, 99989):
         results = {tuple(two_squares(p, random.Random(seed))) for seed in range(10)}
         assert len(results) == 1
+
+
+def test_two_squares_certificate_survives_optimization(monkeypatch):
+    monkeypatch.setattr(primes, "gaussian_gcd", lambda a, b: GaussianInt(1, 1))
+    with pytest.raises(ArithmeticError, match="not a decomposition"):
+        two_squares(13)

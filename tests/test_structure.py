@@ -228,6 +228,11 @@ class TestEnumeration:
         c = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61
         assert count_triples(c) == 2**7
 
+    def test_count_of_psi_12(self):
+        # 399165290221 * 798330580441, both = 1 (mod 4), and a strong
+        # pseudoprime to the first 12 prime bases
+        assert count_triples(318665857834031151167461) == 2
+
 
 class TestPowersTable:
     def test_rows_match_reference_table(self):
