@@ -150,7 +150,8 @@ def to_second_octant(x: CirclePoint) -> tuple[CirclePoint, GammaElement]:
         raise ValueError("units have no second-octant representative")
     hits = [(g.apply(x), g) for g in GAMMA_ELEMENTS]
     hits = [(y, g) for y, g in hits if 0 < y.s < y.t]
-    assert len(hits) == 1, hits
+    if len(hits) != 1:
+        raise ArithmeticError(f"to_second_octant({x}): {len(hits)} images have 0 < s < t, not 1")
     return hits[0]
 
 
@@ -160,7 +161,8 @@ def pt(x: CirclePoint) -> NormalizedTriple:
         raise ValueError("1, i, -1, -i do not encode a triple")
     y, _ = to_second_octant(x)
     c = y.s.denominator
-    assert y.t.denominator == c, (y, c)
+    if y.t.denominator != c:
+        raise ArithmeticError(f"pt({x}): the coordinates of {y} have different denominators")
     return NormalizedTriple(y.s.numerator, y.t.numerator, c)
 
 

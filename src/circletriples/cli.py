@@ -138,19 +138,25 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _require(ok: bool, what) -> None:
+    # a raise rather than an assert, so that the checks still run under -O
+    if not ok:
+        raise AssertionError(what)
+
+
 def _selftest_checks():
     from fractions import Fraction as F
     from random import Random
 
     def enumeration_matches_oracle():
         for c in range(1, 301):
-            assert structure.enumerate_triples(c) == oracle.brute_triples(c), c
-            assert structure.count_triples(c) == len(oracle.brute_triples(c)), c
+            _require(structure.enumerate_triples(c) == oracle.brute_triples(c), c)
+            _require(structure.count_triples(c) == len(oracle.brute_triples(c)), c)
 
     def two_squares_matches_search():
         for p in primes.primes_below(2000):
             if p % 4 == 1:
-                assert tuple(primes.two_squares(p)) == oracle.exhaustive_two_squares(p), p
+                _require(tuple(primes.two_squares(p)) == oracle.exhaustive_two_squares(p), p)
 
     def factorization_roundtrip():
         rng = Random(7)
@@ -159,18 +165,18 @@ def _selftest_checks():
             ps = sorted(rng.sample(pool, rng.randint(0, 3)))
             terms = tuple((p, rng.choice([-3, -2, -1, 1, 2, 3])) for p in ps)
             f = structure.BasisFactorization(rng.randrange(4), terms)
-            assert structure.factor_point(structure.recombine(f)) == f, f
+            _require(structure.factor_point(structure.recombine(f)) == f, f)
 
     def projection_roundtrip():
         rng = Random(11)
         for _ in range(200):
             r = F(rng.randint(-500, 500), rng.randint(1, 500))
-            assert circle.stereo_project(circle.stereo_unproject(r)) == r, r
+            _require(circle.stereo_project(circle.stereo_unproject(r)) == r, r)
 
     def orbits_have_size_8():
         for x in oracle.brute_rational_points(100):
             if not circle.is_unit(x):
-                assert len(circle.gamma_orbit(x)) == 8, x
+                _require(len(circle.gamma_orbit(x)) == 8, x)
 
     return [
         enumeration_matches_oracle,

@@ -2,8 +2,7 @@
 
 Deliberately knows nothing about primality or the group structure: it only
 scans integers and tests exact squares, so the clever modules can be
-checked against it. The inner scans run on the compiled kernel when the
-extension built, with a pure-Python fallback selected at import.
+checked against it.
 """
 
 from __future__ import annotations
@@ -13,37 +12,20 @@ from fractions import Fraction
 from . import _kernels_py
 from .circle import CirclePoint, NormalizedTriple, UNIT_POINTS, gamma_orbit
 
-try:
-    from . import _kernels  # compiled
-except ImportError:  # pragma: no cover
-    _kernels = None
-
-#: name of the kernel backend used for in-range scans
-BACKEND = _kernels.BACKEND if _kernels is not None else _kernels_py.BACKEND
-
-# above this the squares no longer fit the compiled kernel's 64-bit ints
-_C_KERNEL_LIMIT = 2**31 - 1
-
-
-def _pick(c: int):
-    if _kernels is not None and c <= _C_KERNEL_LIMIT:
-        return _kernels
-    return _kernels_py
-
 
 def brute_triples(c: int) -> list[NormalizedTriple]:
     """All normalized triples with hypotenuse c, by exhaustive scan."""
     if c <= 0:
         raise ValueError("hypotenuse must be positive")
     # the NormalizedTriple constructor re-validates every invariant
-    return [NormalizedTriple(a, b, c) for a, b in _pick(c).triples_scan(c)]
+    return [NormalizedTriple(a, b, c) for a, b in _kernels_py.triples_scan(c)]
 
 
 def exhaustive_two_squares(p: int):
     """(m, n) with 0 < m < n, m^2 + n^2 = p, or None; by exhaustive scan."""
     if p <= 0:
         raise ValueError("expected a positive integer")
-    return _pick(p).two_squares_scan(p)
+    return _kernels_py.two_squares_scan(p)
 
 
 def brute_rational_points(c_max: int) -> list[CirclePoint]:

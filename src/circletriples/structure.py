@@ -93,7 +93,10 @@ def gaussian_factorize(z: GaussianInt) -> GaussianFactorization:
                 factors.append((q, e))
             elif p % 4 == 3:
                 # inert prime: contributes its square to the norm
-                assert e % 2 == 0, (z, p, e)
+                if e % 2:
+                    raise ArithmeticError(
+                        f"gaussian_factorize({z}): the inert prime {p} divides the norm {e} times"
+                    )
                 q = GaussianInt(p)
                 for _ in range(e // 2):
                     rest = divexact(rest, q)
@@ -114,7 +117,8 @@ def gaussian_factorize(z: GaussianInt) -> GaussianFactorization:
                     factors.append((q, e1))
                 if e - e1:
                     factors.append((qbar, e - e1))
-    assert rest.norm() == 1
+    if rest.norm() != 1:
+        raise ArithmeticError(f"gaussian_factorize({z}): the cofactor {rest} is not a unit")
     factors.sort(key=lambda qe: (qe[0].norm(), qe[0].im < 0))
     return GaussianFactorization(rest, tuple(factors))
 
@@ -159,7 +163,7 @@ def factor_point(x: CirclePoint) -> BasisFactorization:
     Clears denominators to land in Z[i], factors there, and converts each
     conjugate pair q**e * conj(q)**e' into the basis-point power (e - e')/2.
     The factors above 2 and above the inert primes come entirely from the
-    cleared denominator and drop out; the final unit assertion certifies
+    cleared denominator and drop out; the final unit check certifies
     that nothing real was discarded.
     """
     den = x.s.denominator
@@ -179,14 +183,16 @@ def factor_point(x: CirclePoint) -> BasisFactorization:
     terms = []
     for p in sorted(exps):
         diff = exps[p]
-        assert diff % 2 == 0, (x, p, diff)
+        if diff % 2:
+            raise ArithmeticError(f"factor_point({x}): the exponents above {p} differ by {diff}")
         if diff:
             terms.append((p, diff // 2))
     free = UNIT_POINTS[0]
     for p, e in terms:
         free = free * zeta_power(p, e)
     u = x * free.inverse()
-    assert is_unit(u), (x, terms, u)
+    if not is_unit(u):
+        raise ArithmeticError(f"factor_point({x}): dividing out {terms} leaves {u}, not a unit")
     return BasisFactorization(UNIT_POINTS.index(u), tuple(terms))
 
 
@@ -241,7 +247,9 @@ def enumerate_triples(c: int) -> list[NormalizedTriple]:
             x = x * zeta_power(p, sign * n)
         triples.append(pt(x))
     triples.sort(key=lambda t: t.a)
-    assert all(t.c == c for t in triples)
+    wrong = [t for t in triples if t.c != c]
+    if wrong:
+        raise ArithmeticError(f"enumerate_triples({c}): {wrong[0]} has another hypotenuse")
     return triples
 
 

@@ -146,6 +146,11 @@ class TestSecondOctant:
         with pytest.raises(ValueError):
             to_second_octant(I)
 
+    def test_single_image_certificate_survives_optimization(self, monkeypatch):
+        monkeypatch.setattr("circletriples.circle.GAMMA_ELEMENTS", GAMMA_ELEMENTS * 2)
+        with pytest.raises(ArithmeticError, match="2 images"):
+            to_second_octant(P("3/5", "4/5"))
+
 
 class TestPt:
     def test_examples(self):

@@ -147,3 +147,11 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert all(line.startswith("ok ") for line in out.splitlines())
+
+
+def test_selftest_fails_on_a_broken_enumerator(capsys, monkeypatch):
+    # the checks raise explicitly, so this holds under python -O as well
+    monkeypatch.setattr("circletriples.structure.enumerate_triples", lambda c: [])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out.startswith("FAIL enumeration_matches_oracle: 5\n")

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -45,16 +47,69 @@ def test_point_corpus_is_duplicate_free():
     assert len(pts) == len(set(pts))
 
 
-def test_backends_agree():
-    for c in range(1, 400):
-        assert _kernels_py.triples_scan(c) == oracle._pick(c).triples_scan(c)
-    for p in range(2, 2000):
-        assert _kernels_py.two_squares_scan(p) == oracle._pick(p).two_squares_scan(p)
+def spec_triples_scan(c):
+    """The specification of triples_scan: every short leg a, plainly."""
+    cc = c * c
+    out = []
+    a = 1
+    while 2 * a * a < cc:
+        bsq = cc - a * a
+        b = math.isqrt(bsq)
+        if b * b == bsq and math.gcd(a, b) == 1:
+            out.append((a, b))
+        a += 1
+    return out
 
 
-def test_python_fallback_beyond_kernel_range():
-    c = 2**31 + 11  # routed to the pure kernel regardless of build
-    assert oracle._pick(c) is _kernels_py
+def test_triples_scan_matches_spec_below_3000():
+    # the skipped residues depend only on c mod 360, so this covers them all
+    for c in range(1, 3000):
+        assert _kernels_py.triples_scan(c) == spec_triples_scan(c), c
+    assert _kernels_py.triples_scan(1) == _kernels_py.triples_scan(2) == []
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        5**8,
+        5**9,
+        1105**2,
+        2 * 5**4 * 13**2,  # even
+        3 * 5 * 13 * 17 * 29,  # a prime 3 (mod 4) with split ones
+        999979,  # prime, 3 (mod 4)
+        200009,  # prime, 1 (mod 4)
+        900001,  # prime, 1 (mod 4)
+        449 * 1009,
+        61 * 73 * 101,
+        17485,  # a triple in the partial last wheel block, gap 5041 of 5121
+    ],
+)
+def test_triples_scan_matches_spec_at_scale(c):
+    assert _kernels_py.triples_scan(c) == spec_triples_scan(c)
+
+
+def _package_imports(module):
+    """circletriples modules imported by module, directly or through others."""
+    package = Path(oracle.__file__).parent
+    seen, todo = set(), [module]
+    while todo:
+        for node in ast.walk(ast.parse((package / f"{todo.pop()}.py").read_text())):
+            if isinstance(node, ast.Import):
+                dotted = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["circletriples" if node.level else "", node.module]))
+                dotted = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            names = {d.split(".")[1] for d in dotted if d.startswith("circletriples.")}
+            todo += names - seen
+            seen |= names
+    return seen
+
+
+def test_oracle_knows_no_primes_or_structure():
+    for module in ("oracle", "_kernels_py"):
+        assert not _package_imports(module) & {"primes", "structure"}, module
 
 
 def test_exhaustive_two_squares():

@@ -11,6 +11,7 @@ from circletriples.oracle import brute_triples
 from circletriples.primes import primes_below
 from circletriples.structure import (
     BasisFactorization,
+    GaussianFactorization,
     canonical_irreducible,
     count_triples,
     enumerate_triples,
@@ -77,6 +78,15 @@ class TestGaussianFactorize:
         with pytest.raises(ValueError):
             gaussian_factorize(GaussianInt(0))
 
+    def test_certificates_survive_optimization(self, monkeypatch):
+        # a wrong norm factorization must raise, not pass, under -O
+        monkeypatch.setattr("circletriples.structure.factorize", lambda n: [(3, 1)])
+        with pytest.raises(ArithmeticError, match="divides the norm 1 times"):
+            gaussian_factorize(GaussianInt(3))
+        monkeypatch.setattr("circletriples.structure.factorize", lambda n: [])
+        with pytest.raises(ArithmeticError, match="is not a unit"):
+            gaussian_factorize(GaussianInt(5))
+
     @given(
         st.integers(min_value=-500, max_value=500),
         st.integers(min_value=-500, max_value=500),
@@ -127,6 +137,17 @@ class TestFactorRecombine:
 
     def test_units_have_empty_terms(self):
         assert factor_point(I) == BasisFactorization(1, ())
+
+    def test_certificates_survive_optimization(self, monkeypatch):
+        x = CirclePoint(Fraction(3, 5), Fraction(4, 5))
+        monkeypatch.setattr("circletriples.structure.zeta_power", lambda p, e: ONE)
+        with pytest.raises(ArithmeticError, match="not a unit"):
+            factor_point(x)
+        monkeypatch.undo()
+        odd = GaussianFactorization(GaussianInt(1), ((GaussianInt(1, 2), 1),))
+        monkeypatch.setattr("circletriples.structure.gaussian_factorize", lambda z: odd)
+        with pytest.raises(ArithmeticError, match="differ by 1"):
+            factor_point(x)
 
     def test_squared_point(self):
         f = factor_point(CirclePoint(Fraction(-7, 25), Fraction(24, 25)))
@@ -227,6 +248,11 @@ class TestEnumeration:
         # 8 distinct split primes: enumeration would build 128 huge points
         c = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61
         assert count_triples(c) == 2**7
+
+    def test_hypotenuse_certificate_survives_optimization(self, monkeypatch):
+        monkeypatch.setattr("circletriples.structure.pt", lambda x: NormalizedTriple(3, 4, 5))
+        with pytest.raises(ArithmeticError, match="another hypotenuse"):
+            enumerate_triples(65)
 
     def test_count_of_psi_12(self):
         # 399165290221 * 798330580441, both = 1 (mod 4), and a strong
