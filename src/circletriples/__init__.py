@@ -4,7 +4,6 @@ from .circle import (
     CirclePoint,
     GammaElement,
     NormalizedTriple,
-    gamma_apply,
     gamma_orbit,
     is_unit,
     make_point,

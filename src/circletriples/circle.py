@@ -40,12 +40,11 @@ class CirclePoint:
             self.s * other.t + self.t * other.s,
         )
 
-    def inverse(self) -> "CirclePoint":
-        # on the unit circle the inverse is the conjugate
-        return CirclePoint(self.s, -self.t)
-
     def conjugate(self) -> "CirclePoint":
         return CirclePoint(self.s, -self.t)
+
+    # on the unit circle the inverse is the conjugate
+    inverse = conjugate
 
     def __pow__(self, e: int) -> "CirclePoint":
         base = self if e >= 0 else self.inverse()
@@ -104,10 +103,6 @@ GAMMA_IDENTITY = GammaElement(0, False)
 GAMMA_ELEMENTS = tuple(
     GammaElement(r, c) for c in (False, True) for r in (0, 1, 2, 3)
 )
-
-
-def gamma_apply(g: GammaElement, x: CirclePoint) -> CirclePoint:
-    return g.apply(x)
 
 
 def gamma_orbit(x: CirclePoint) -> set[CirclePoint]:

@@ -2,9 +2,10 @@
 
 Every subcommand accepts --json (one well-formed document on stdout, all
 numeric fields as decimal strings so exactness survives any JSON parser)
-and --seed (reseeds the two-squares root finding; results never depend on
-it). Exit codes: 0 success, 1 verification mismatch or selftest failure,
-2 usage or domain error.
+and --seed, which has no effect: it is still accepted so that existing
+calls keep working, but every computation is deterministic. Exit codes:
+0 success, 1 verification mismatch or selftest failure, 2 usage or domain
+error.
 """
 
 from __future__ import annotations
@@ -215,72 +216,81 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON document")
-    common.add_argument("--seed", type=int, metavar="U64", help="reseed two-squares root finding")
+_HYPOTENUSE = [("c", {"type": _positive_int})]
+_POINT = [("s", {"type": _fraction}), ("t", {"type": _fraction})]
 
+# name -> (help, handler, arguments); an argument is (name or flag, add_argument keywords)
+_COMMANDS = {
+    "count": ("number of triples with hypotenuse c", _cmd_count, _HYPOTENUSE),
+    "triples": (
+        "enumerate triples with hypotenuse c",
+        _cmd_triples,
+        _HYPOTENUSE
+        + [
+            ("--verify", {"action": "store_true", "help": "cross-check against the brute-force oracle"}),
+            ("--limit", {"type": _positive_int, "metavar": "N", "help": "print at most N rows"}),
+        ],
+    ),
+    "zeta": (
+        "basis circle point for a prime p = 1 (mod 4)",
+        _cmd_zeta,
+        [("p", {"type": _positive_int})],
+    ),
+    "pow": (
+        "n-th power of the basis point for p",
+        _cmd_pow,
+        [("p", {"type": _positive_int}), ("n", {"type": int})],
+    ),
+    "table": (
+        "powers of the (3,4,5) point and their triples",
+        _cmd_table,
+        [("n_max", {"type": _positive_int})],
+    ),
+    "factor-point": ("basis factorization of a circle point", _cmd_factor_point, _POINT),
+    "project": ("stereographic projection of a circle point", _cmd_project, _POINT),
+    "unproject": (
+        "circle point of a rational projection value",
+        _cmd_unproject,
+        [("r", {"type": _fraction})],
+    ),
+    "oracle": ("brute-force triples with hypotenuse c", _cmd_oracle, _HYPOTENUSE),
+    "selftest": ("run the bounded invariant suite", _cmd_selftest, []),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with only `command`'s subparser when it names one, else all ten.
+
+    Building parsers would otherwise be most of a short call's cost. Help
+    and usage errors for anything but a known command list all ten, and a
+    one-command parser still shows all ten names in its usage line, so the
+    output is the same either way.
+    """
     parser = argparse.ArgumentParser(
         prog="circletriples",
         description="Count and enumerate normalized Pythagorean triples via the rational unit circle.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", parents=[common], help="number of triples with hypotenuse c")
-    p.add_argument("c", type=_positive_int)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("triples", parents=[common], help="enumerate triples with hypotenuse c")
-    p.add_argument("c", type=_positive_int)
-    p.add_argument("--verify", action="store_true", help="cross-check against the brute-force oracle")
-    p.add_argument("--limit", type=_positive_int, metavar="N", help="print at most N rows")
-    p.set_defaults(func=_cmd_triples)
-
-    p = sub.add_parser("zeta", parents=[common], help="basis circle point for a prime p = 1 (mod 4)")
-    p.add_argument("p", type=_positive_int)
-    p.set_defaults(func=_cmd_zeta)
-
-    p = sub.add_parser("pow", parents=[common], help="n-th power of the basis point for p")
-    p.add_argument("p", type=_positive_int)
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_pow)
-
-    p = sub.add_parser("table", parents=[common], help="powers of the (3,4,5) point and their triples")
-    p.add_argument("n_max", type=_positive_int)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("factor-point", parents=[common], help="basis factorization of a circle point")
-    p.add_argument("s", type=_fraction)
-    p.add_argument("t", type=_fraction)
-    p._negative_number_matcher = _NEGATIVE_NUMBER
-    p.set_defaults(func=_cmd_factor_point)
-
-    p = sub.add_parser("project", parents=[common], help="stereographic projection of a circle point")
-    p.add_argument("s", type=_fraction)
-    p.add_argument("t", type=_fraction)
-    p._negative_number_matcher = _NEGATIVE_NUMBER
-    p.set_defaults(func=_cmd_project)
-
-    p = sub.add_parser("unproject", parents=[common], help="circle point of a rational projection value")
-    p.add_argument("r", type=_fraction)
-    p._negative_number_matcher = _NEGATIVE_NUMBER
-    p.set_defaults(func=_cmd_unproject)
-
-    p = sub.add_parser("oracle", parents=[common], help="brute-force triples with hypotenuse c")
-    p.add_argument("c", type=_positive_int)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("selftest", parents=[common], help="run the bounded invariant suite")
-    p.set_defaults(func=_cmd_selftest)
-
+    if command in _COMMANDS:
+        chosen, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        chosen, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in chosen:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="emit a JSON document")
+        p.add_argument("--seed", type=int, metavar="U64", help="reseed two-squares root finding")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+            if options.get("type") is _fraction:
+                p._negative_number_matcher = _NEGATIVE_NUMBER
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is not None:
-        primes.set_default_seed(args.seed)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     args.input_echo = {
         k: str(v)
         for k, v in vars(args).items()

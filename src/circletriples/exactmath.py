@@ -2,8 +2,7 @@
 
 Rationals are stdlib :class:`fractions.Fraction`, which already maintains the
 canonical form every other module relies on: positive denominator, numerator
-and denominator coprime. The helpers below exist so callers never have to
-think about normalization.
+and denominator coprime.
 
 Gaussian integers (elements m + n*i of Z[i]) get their own small class; the
 stdlib has nothing exact for them. Division with remainder rounds the
@@ -16,24 +15,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
-
-
-def rat_add(x: Fraction, y: Fraction) -> Fraction:
-    return x + y
-
-
-def rat_mul(x: Fraction, y: Fraction) -> Fraction:
-    return x * y
-
-
-def rat_neg(x: Fraction) -> Fraction:
-    return -x
-
-
-def rat_inv(x: Fraction) -> Fraction:
-    if x == 0:
-        raise ZeroDivisionError("cannot invert zero")
-    return 1 / x
 
 
 class GaussianInt:

@@ -20,7 +20,8 @@ from .exactmath import GaussianInt, gaussian_gcd
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
-# Trial division stops here; cofactors are proven prime or split by rho.
+# factorize finds the primes below this that divide c with one gcd against
+# their product; what is left of c is proven prime or split by rho
 _TRIAL_LIMIT = 10**4
 
 
@@ -90,6 +91,10 @@ def primes_below(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+_TRIAL_PRIMES = tuple(primes_below(_TRIAL_LIMIT))
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+
+
 def _pollard_rho(n: int, rng: random.Random) -> int:
     """A nontrivial factor of composite odd n (Brent's cycle variant)."""
     while True:
@@ -126,15 +131,17 @@ def factorize(c: int) -> Factorization:
         raise ValueError("factorize requires an integer >= 2")
     factors: dict[int, int] = {}
     n = c
-    while n % 2 == 0:
-        factors[2] = factors.get(2, 0) + 1
-        n //= 2
-    d = 3
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
+    g = math.gcd(n, _TRIAL_PRODUCT)  # squarefree: the trial primes that divide c
+    for p in _TRIAL_PRIMES:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors[p] = e
     # the cofactor has no prime factor up to the trial limit: prove each
     # piece prime or split it with Pollard rho
     rng = random.Random(n)
@@ -161,44 +168,35 @@ def classify(p: int) -> PrimeClass:
     return PrimeClass.P1 if p % 4 == 1 else PrimeClass.P3
 
 
-def _sqrt_minus_one(p: int, rng: random.Random) -> int:
+def _sqrt_minus_one(p: int) -> int:
     """An x with x**2 = -1 (mod p), for p = 1 (mod 4).
 
-    A random residue a is a quadratic nonresidue half the time, and then
-    a**((p-1)/4) is such a root; expected two attempts.
+    x = a**((p-1)/4) for the least quadratic nonresidue a mod p (Brillhart,
+    Math. Comp. 26, 1972), found by trying a = 2, 3, ...: a residue gives
+    x**2 = 1 instead.
     """
     e = (p - 1) // 4
+    a = 2
     while True:
-        a = rng.randrange(2, p - 1)
         x = pow(a, e, p)
         if x * x % p == p - 1:
             return x
-
-
-_default_rng = random.Random(0)
-
-
-def set_default_seed(seed: int) -> None:
-    """Reseed the rng used by two_squares when no rng is passed explicitly."""
-    global _default_rng
-    _default_rng = random.Random(seed)
+        a += 1
 
 
 def two_squares(p: int, rng: Optional[random.Random] = None) -> TwoSquares:
     """The unique decomposition p = m**2 + n**2 with 0 < m < n.
 
     Finds a square root of -1 mod p, then takes the Gaussian gcd of p and
-    root + i; its coordinates are the answer up to unit and conjugation,
-    so the normalized output does not depend on the rng.
+    root + i; its coordinates are the answer up to unit and conjugation.
+    The search is deterministic, so `rng` is accepted but unused.
     """
     cls = classify(p)
     if cls is not PrimeClass.P1:
         raise ValueError(
             f"{p} is in class {cls.name}; only primes = 1 (mod 4) are sums of two squares"
         )
-    if rng is None:
-        rng = _default_rng
-    x = _sqrt_minus_one(p, rng)
+    x = _sqrt_minus_one(p)
     g = gaussian_gcd(GaussianInt(p), GaussianInt(x, 1))
     m, n = sorted((abs(g.re), abs(g.im)))
     if not (0 < m < n and m * m + n * n == p):

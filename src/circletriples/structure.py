@@ -131,8 +131,7 @@ def zeta_p(p: int) -> CirclePoint:
     cls = classify(p)
     if cls is not PrimeClass.P1:
         raise ValueError(f"{p} is in class {cls.name}; basis points need p = 1 (mod 4)")
-    m, n = two_squares(p)
-    return CirclePoint(Fraction(m * m - n * n, p), Fraction(2 * m * n, p))
+    return zeta_power(p, 1)
 
 
 def zeta_power(p: int, e: int) -> CirclePoint:

@@ -15,7 +15,6 @@ from circletriples.circle import (
     CirclePoint,
     GammaElement,
     NormalizedTriple,
-    gamma_apply,
     gamma_orbit,
     is_unit,
     make_point,
@@ -131,7 +130,7 @@ class TestSecondOctant:
     def test_moves_into_octant(self):
         y, g = to_second_octant(P("-3/5", "4/5"))
         assert y == P("3/5", "4/5")
-        assert gamma_apply(g, P("-3/5", "4/5")) == y
+        assert g.apply(P("-3/5", "4/5")) == y
 
     def test_example_with_conjugation(self):
         y, _ = to_second_octant(P("161/289", "-240/289"))
@@ -166,7 +165,7 @@ class TestPt:
     def test_gamma_invariance(self, x):
         expected = pt(x)
         for g in GAMMA_ELEMENTS:
-            assert pt(gamma_apply(g, x)) == expected
+            assert pt(g.apply(x)) == expected
 
 
 class TestTripleRoundtrip:

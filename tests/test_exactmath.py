@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -6,36 +5,27 @@ from hypothesis import strategies as st
 
 from circletriples.exactmath import (
     GaussianInt,
+    Rational,
     divexact,
     gaussian_gcd,
-    rat_add,
-    rat_inv,
-    rat_mul,
-    rat_neg,
     try_divexact,
 )
 
 
 class TestRationals:
-    def test_inverse_pair(self):
-        assert rat_mul(Fraction(3, 5), Fraction(5, 3)) == 1
-
-    def test_common_denominator_add(self):
-        assert rat_add(Fraction(3, 5), Fraction(4, 5)) == Fraction(7, 5)
+    """The canonical form that every module relies on Rational to keep."""
 
     def test_sign_normalized_reciprocal(self):
-        assert rat_inv(Fraction(-7, 25)) == Fraction(-25, 7)
-
-    def test_neg(self):
-        assert rat_neg(Fraction(3, 5)) == Fraction(-3, 5)
+        r = 1 / Rational(-7, 25)
+        assert (r.numerator, r.denominator) == (-25, 7)
 
     def test_invert_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            rat_inv(Fraction(0))
+            1 / Rational(0)
 
     @given(st.fractions(), st.fractions())
     def test_results_are_canonical(self, x, y):
-        z = rat_add(rat_mul(x, y), x)
+        z = x * y + x
         assert z.denominator > 0
         from math import gcd
 

@@ -112,6 +112,15 @@ def test_oracle_knows_no_primes_or_structure():
         assert not _package_imports(module) & {"primes", "structure"}, module
 
 
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements; every check must be an explicit raise
+    package = Path(oracle.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, (path.name, lines)
+
+
 def test_exhaustive_two_squares():
     assert oracle.exhaustive_two_squares(5) == (1, 2)
     assert oracle.exhaustive_two_squares(7) is None

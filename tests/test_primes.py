@@ -71,6 +71,10 @@ def test_factorize_around_the_trial_bound_matches_sympy():
     cases += [math.prod(below), math.prod(above), 9967 * 9973 * 10037, 9973 * 10009 * 10037]
     cases += [2**3 * 3**2 * 5 * 13**3 * 9973**2]
     cases += [2**k * 999999999989 for k in (1, 20, 61)]
+    # the gcd against the product of the trial primes: all of them, one to a
+    # high power, and a smooth part with a prime cofactor pair on top
+    cases += [math.prod(primes_below(10**4)), 9973**7 * 10007]
+    cases += [2**64 * 3**40, 2**64 * 3**40 * 1000003 * 1000033]
     for c in cases:
         assert factorize(c) == sorted(sympy.factorint(c).items()), c
 
