@@ -13,7 +13,7 @@ from .circle import (
     stereo_unproject,
     to_second_octant,
 )
-from .exactmath import GaussianInt, Rational
+from .exactmath import GaussianInt
 from .oracle import brute_rational_points, brute_triples
 from .primes import PrimeClass, classify, factorize, is_prime, two_squares
 from .structure import (

@@ -71,7 +71,7 @@ UNIT_POINTS = (ONE, I, MINUS_ONE, MINUS_I)
 
 
 def make_point(s, t) -> CirclePoint:
-    return CirclePoint(_as_fraction(s), _as_fraction(t))
+    return CirclePoint(s, t)
 
 
 def is_unit(x: CirclePoint) -> bool:

@@ -1,8 +1,4 @@
-"""Exact integer, rational, and Gaussian-integer arithmetic.
-
-Rationals are stdlib :class:`fractions.Fraction`, which already maintains the
-canonical form every other module relies on: positive denominator, numerator
-and denominator coprime.
+"""Exact Gaussian-integer arithmetic.
 
 Gaussian integers (elements m + n*i of Z[i]) get their own small class; the
 stdlib has nothing exact for them. Division with remainder rounds the
@@ -11,10 +7,6 @@ terminate (the remainder norm drops by a factor of at least 2).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-Rational = Fraction
 
 
 class GaussianInt:
@@ -114,24 +106,21 @@ class GaussianInt:
         return divmod(self, other)[1]
 
 
-def divexact(z: GaussianInt, d: GaussianInt) -> GaussianInt:
-    """Exact quotient z / d in Z[i]; raises if d does not divide z."""
-    if not d:
-        raise ZeroDivisionError("division by zero in Z[i]")
-    n = d.norm()
-    num = z * d.conjugate()
-    if num.re % n or num.im % n:
-        raise ValueError(f"{d!r} does not divide {z!r} in Z[i]")
-    return GaussianInt(num.re // n, num.im // n)
-
-
 def try_divexact(z: GaussianInt, d: GaussianInt):
-    """divexact, or None when d does not divide z."""
+    """The exact quotient z / d in Z[i], or None when d does not divide z."""
     n = d.norm()
     num = z * d.conjugate()
     if num.re % n or num.im % n:
         return None
     return GaussianInt(num.re // n, num.im // n)
+
+
+def divexact(z: GaussianInt, d: GaussianInt) -> GaussianInt:
+    """Exact quotient z / d in Z[i]; raises if d does not divide z."""
+    q = try_divexact(z, d)
+    if q is None:
+        raise ValueError(f"{d!r} does not divide {z!r} in Z[i]")
+    return q
 
 
 def gaussian_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:

@@ -7,10 +7,8 @@ checked against it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _kernels_py
-from .circle import CirclePoint, NormalizedTriple, UNIT_POINTS, gamma_orbit
+from .circle import CirclePoint, NormalizedTriple, UNIT_POINTS, gamma_orbit, point_from_triple
 
 
 def brute_triples(c: int) -> list[NormalizedTriple]:
@@ -36,5 +34,5 @@ def brute_rational_points(c_max: int) -> list[CirclePoint]:
     points: set[CirclePoint] = set(UNIT_POINTS)
     for c in range(5, c_max + 1, 2):
         for t in brute_triples(c):
-            points |= gamma_orbit(CirclePoint(Fraction(t.a, t.c), Fraction(t.b, t.c)))
+            points |= gamma_orbit(point_from_triple(t))
     return sorted(points, key=lambda x: (x.s, x.t))

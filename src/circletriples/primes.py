@@ -125,6 +125,31 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
             return g
 
 
+def _iroot(m: int, k: int) -> int:
+    """The integer k-th root of m >= 1: the largest r with r**k <= m."""
+    if k == 2:
+        return math.isqrt(m)
+    x = 1 << -(-m.bit_length() // k)  # 2**ceil(bits/k) > the root
+    while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+        x = y  # integer Newton steps decrease strictly down to the root
+    return x
+
+
+def _perfect_power(m: int) -> Optional[tuple[int, int]]:
+    """(r, k) with m = r**k for a prime k, if m is a perfect power.
+
+    m has no prime factor below the trial limit, so neither has r, and only
+    the k with _TRIAL_LIMIT**k <= m need a probe.
+    """
+    for k in _TRIAL_PRIMES:
+        if _TRIAL_LIMIT**k > m:
+            return None
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factorize(c: int) -> Factorization:
     """Prime factorization of c as sorted (prime, exponent) pairs."""
     if c < 2:
@@ -143,17 +168,22 @@ def factorize(c: int) -> Factorization:
                 e += 1
             factors[p] = e
     # the cofactor has no prime factor up to the trial limit: prove each
-    # piece prime or split it with Pollard rho
+    # piece prime, replace a perfect power r**k by r with k times the
+    # multiplicity, or split it with Pollard rho
     rng = random.Random(n)
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + e
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            r, k = power
+            stack.append((r, k * e))
             continue
         f = _pollard_rho(m, rng)
-        stack.append(f)
-        stack.append(m // f)
+        stack += [(f, e), (m // f, e)]
     entries = sorted(factors.items())
     if math.prod(p**e for p, e in entries) != c:
         raise ArithmeticError(f"factorize({c}): the factors {entries} do not multiply to {c}")

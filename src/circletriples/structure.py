@@ -24,7 +24,7 @@ from .circle import (
     pt,
     point_from_triple,
 )
-from .exactmath import GaussianInt, divexact, try_divexact
+from .exactmath import GaussianInt, try_divexact
 from .primes import PrimeClass, classify, factorize, two_squares
 
 
@@ -57,6 +57,10 @@ class GaussianFactorization:
     factors: tuple[tuple[GaussianInt, int], ...]
 
 
+# the exponent u of each unit i**u, keyed by its coordinates
+_UNIT_EXP = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
+
+
 def canonical_irreducible(p: int) -> GaussianInt:
     """The canonical irreducible of Z[i] above the prime p.
 
@@ -75,48 +79,34 @@ def canonical_irreducible(p: int) -> GaussianInt:
 def gaussian_factorize(z: GaussianInt) -> GaussianFactorization:
     """Unique factorization of z over the canonical irreducibles.
 
-    Factors the integer norm, then peels off the matching Gaussian
-    irreducibles; what remains must be a unit. Factors are sorted by norm,
-    with the second-octant irreducible preceding its conjugate.
+    Factors the integer norm, then peels off the irreducibles above each
+    prime p (for p = 1 (mod 4) the canonical one, then its conjugate) while
+    they divide; their norms must make up the power of p in the norm, and
+    what remains must be a unit. Factors are sorted by norm, with the
+    second-octant irreducible preceding its conjugate.
     """
     if not z:
         raise ValueError("zero has no factorization")
     factors: list[tuple[GaussianInt, int]] = []
     rest = z
     nrm = z.norm()
-    if nrm > 1:
-        for p, e in factorize(nrm):
-            if p == 2:
-                q = GaussianInt(1, 1)
-                for _ in range(e):
-                    rest = divexact(rest, q)
-                factors.append((q, e))
-            elif p % 4 == 3:
-                # inert prime: contributes its square to the norm
-                if e % 2:
-                    raise ArithmeticError(
-                        f"gaussian_factorize({z}): the inert prime {p} divides the norm {e} times"
-                    )
-                q = GaussianInt(p)
-                for _ in range(e // 2):
-                    rest = divexact(rest, q)
-                factors.append((q, e // 2))
-            else:
-                q = canonical_irreducible(p)
-                e1 = 0
-                while e1 < e:
-                    nxt = try_divexact(rest, q)
-                    if nxt is None:
-                        break
-                    rest = nxt
-                    e1 += 1
-                qbar = q.conjugate()
-                for _ in range(e - e1):
-                    rest = divexact(rest, qbar)
-                if e1:
-                    factors.append((q, e1))
-                if e - e1:
-                    factors.append((qbar, e - e1))
+    for p, e in factorize(nrm) if nrm > 1 else ():
+        q = canonical_irreducible(p)
+        step = 2 if q.im == 0 else 1  # an inert q has norm p**2
+        peeled = 0  # the power of p in the norms of the peeled factors
+        for d in (q, q.conjugate()) if p % 4 == 1 else (q,):
+            k = 0
+            while peeled < e and (nxt := try_divexact(rest, d)) is not None:
+                rest = nxt
+                k += 1
+                peeled += step
+            if k:
+                factors.append((d, k))
+        if peeled != e:
+            raise ArithmeticError(
+                f"gaussian_factorize({z}): the prime {p} divides the norm {e} times,"
+                f" its irreducibles {peeled} times"
+            )
     if rest.norm() != 1:
         raise ArithmeticError(f"gaussian_factorize({z}): the cofactor {rest} is not a unit")
     factors.sort(key=lambda qe: (qe[0].norm(), qe[0].im < 0))
@@ -159,40 +149,29 @@ def recombine(f: BasisFactorization) -> CirclePoint:
 def factor_point(x: CirclePoint) -> BasisFactorization:
     """Coordinates of x in the torsion x free-part decomposition.
 
-    Clears denominators to land in Z[i], factors there, and converts each
-    conjugate pair q**e * conj(q)**e' into the basis-point power (e - e')/2.
-    The factors above 2 and above the inert primes come entirely from the
-    cleared denominator and drop out; the final unit check certifies
-    that nothing real was discarded.
+    The coordinates share their denominator c, so z = c*x is in Z[i], and
+    z = i**u * prod (q_p or conj(q_p))**(2|e_p|) is its unique factorization:
+    the unit gives u, and each q_p**2e (conj(q_p)**2e) gives the term
+    (p, e) ((p, -e)). The checks certify the shape of that factorization
+    and that the hypotenuse prod p**|e_p| is c.
     """
-    den = x.s.denominator
-    if x.t.denominator != den:
-        den = den * x.t.denominator // math.gcd(den, x.t.denominator)
-    z = GaussianInt(int(x.s * den), int(x.t * den))
-    gf = gaussian_factorize(z)
-    exps: dict[int, int] = {}
+    c = x.s.denominator
+    gf = gaussian_factorize(GaussianInt(x.s.numerator, x.t.numerator))
+    terms: list[tuple[int, int]] = []
     for q, e in gf.factors:
-        nrm = q.norm()
-        if nrm == 2 or q.im == 0:
-            # unit absolute value forces even total contributions here
-            continue
-        p = nrm
+        p = q.norm()
+        if p == 2 or q.im == 0:
+            raise ArithmeticError(f"factor_point({x}): {q} lies above 2 or an inert prime")
+        if terms and terms[-1][0] == p:
+            raise ArithmeticError(f"factor_point({x}): both {q} and its conjugate divide c*x")
         signed = e if q.im > 0 else -e
-        exps[p] = exps.get(p, 0) + signed
-    terms = []
-    for p in sorted(exps):
-        diff = exps[p]
-        if diff % 2:
-            raise ArithmeticError(f"factor_point({x}): the exponents above {p} differ by {diff}")
-        if diff:
-            terms.append((p, diff // 2))
-    free = UNIT_POINTS[0]
-    for p, e in terms:
-        free = free * zeta_power(p, e)
-    u = x * free.inverse()
-    if not is_unit(u):
-        raise ArithmeticError(f"factor_point({x}): dividing out {terms} leaves {u}, not a unit")
-    return BasisFactorization(UNIT_POINTS.index(u), tuple(terms))
+        if signed % 2:
+            raise ArithmeticError(f"factor_point({x}): the exponents above {p} differ by {signed}")
+        terms.append((p, signed // 2))
+    h = math.prod(p ** abs(e) for p, e in terms)
+    if h != c:
+        raise ArithmeticError(f"factor_point({x}): the terms {terms} have hypotenuse {h}, not {c}")
+    return BasisFactorization(_UNIT_EXP[gf.unit.re, gf.unit.im], tuple(terms))
 
 
 def hypotenuse_of(f: BasisFactorization) -> int:

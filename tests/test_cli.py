@@ -3,6 +3,7 @@ import json
 import pytest
 
 from circletriples.cli import main
+from circletriples.structure import BasisFactorization, recombine
 
 
 def run(capsys, *argv):
@@ -96,6 +97,21 @@ def test_factor_point(capsys):
     assert code == 0 and out == "unit i^0\n"
     code, out, _ = run(capsys, "factor-point", "3/5", "4/5")
     assert out.splitlines() == ["unit i^2", "5 -1"]
+
+
+def test_factor_point_near_1e12_matches_sympy(capsys):
+    sympy = pytest.importorskip("sympy")
+    p, q = 999999999989, 1000000000061  # primes = 1 (mod 4)
+    cases = [(0, ((p, 1),)), (3, ((p, -2),)), (1, ((p, 3),)), (2, ((p, 2), (q, -1)))]
+    for unit, terms in cases:
+        x = recombine(BasisFactorization(unit, terms))
+        code, out, _ = run(capsys, "factor-point", str(x.s), str(x.t))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"unit i^{unit}"
+        got = [tuple(map(int, line.split())) for line in lines[1:]]
+        assert got == list(terms)
+        assert dict((p, abs(e)) for p, e in got) == sympy.factorint(x.s.denominator)
 
 
 def test_negative_rationals_are_positionals(capsys):

@@ -1,11 +1,12 @@
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from circletriples.exactmath import (
     GaussianInt,
-    Rational,
     divexact,
     gaussian_gcd,
     try_divexact,
@@ -13,15 +14,15 @@ from circletriples.exactmath import (
 
 
 class TestRationals:
-    """The canonical form that every module relies on Rational to keep."""
+    """The canonical form of Fraction that every module relies on."""
 
     def test_sign_normalized_reciprocal(self):
-        r = 1 / Rational(-7, 25)
+        r = 1 / Fraction(-7, 25)
         assert (r.numerator, r.denominator) == (-25, 7)
 
     def test_invert_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
-            1 / Rational(0)
+            1 / Fraction(0)
 
     @given(st.fractions(), st.fractions())
     def test_results_are_canonical(self, x, y):

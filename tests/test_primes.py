@@ -30,6 +30,8 @@ def test_is_prime_examples():
 # the first 13 prime bases (OEIS A014233)
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
+# primes = 1 (mod 4) near 1e12
+P, Q = 999999999989, 1000000000061
 
 
 def test_is_prime_rejects_psi_12_and_psi_13():
@@ -75,8 +77,26 @@ def test_factorize_around_the_trial_bound_matches_sympy():
     # high power, and a smooth part with a prime cofactor pair on top
     cases += [math.prod(primes_below(10**4)), 9973**7 * 10007]
     cases += [2**64 * 3**40, 2**64 * 3**40 * 1000003 * 1000033]
+    # perfect powers of a prime or a composite, and a repeated prime beside another
+    cases += [P**2, P**3, Q * P**2, (10007 * 10009) ** 5, 10007**2 * 10009**3]
     for c in cases:
         assert factorize(c) == sorted(sympy.factorint(c).items()), c
+
+
+def test_prime_powers_never_reach_rho(monkeypatch):
+    def no_rho(m, rng):
+        raise AssertionError(f"Pollard rho called on {m}")
+
+    monkeypatch.setattr(primes, "_pollard_rho", no_rho)
+    assert factorize(P**2) == [(P, 2)]
+    assert factorize(P**3) == [(P, 3)]
+    assert factorize(2**5 * P**6) == [(2, 5), (P, 6)]
+
+
+@given(st.integers(min_value=1, max_value=10**80), st.integers(min_value=2, max_value=17))
+def test_iroot_is_the_floor_of_the_root(m, k):
+    r = primes._iroot(m, k)
+    assert r**k <= m < (r + 1) ** k
 
 
 def test_factorize_certificate_survives_optimization(monkeypatch):

@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circletriples import structure
 from circletriples.circle import CirclePoint, I, NormalizedTriple, ONE, is_unit, pt
 from circletriples.exactmath import GaussianInt
 from circletriples.oracle import brute_triples
@@ -25,6 +27,8 @@ from circletriples.structure import (
 )
 
 P1_SMALL = [p for p in primes_below(200) if p % 4 == 1]
+# primes = 1 (mod 4) near 1e12
+P, Q = 999999999989, 1000000000061
 
 
 def random_factorization(rng, max_terms=4, max_exp=5, unit=True):
@@ -140,14 +144,49 @@ class TestFactorRecombine:
 
     def test_certificates_survive_optimization(self, monkeypatch):
         x = CirclePoint(Fraction(3, 5), Fraction(4, 5))
-        monkeypatch.setattr("circletriples.structure.zeta_power", lambda p, e: ONE)
-        with pytest.raises(ArithmeticError, match="not a unit"):
+        both = GaussianFactorization(
+            GaussianInt(1), ((GaussianInt(1, 2), 2), (GaussianInt(1, -2), 2))
+        )
+        monkeypatch.setattr("circletriples.structure.gaussian_factorize", lambda z: both)
+        with pytest.raises(ArithmeticError, match="both"):
+            factor_point(x)
+        # (1+2i)**4 has hypotenuse 25, not the denominator 5
+        fourth = GaussianFactorization(GaussianInt(1), ((GaussianInt(1, 2), 4),))
+        monkeypatch.setattr("circletriples.structure.gaussian_factorize", lambda z: fourth)
+        with pytest.raises(ArithmeticError, match="hypotenuse 25, not 5"):
             factor_point(x)
         monkeypatch.undo()
         odd = GaussianFactorization(GaussianInt(1), ((GaussianInt(1, 2), 1),))
         monkeypatch.setattr("circletriples.structure.gaussian_factorize", lambda z: odd)
         with pytest.raises(ArithmeticError, match="differ by 1"):
             factor_point(x)
+
+    def test_factors_of_the_wrong_class_are_rejected(self, monkeypatch):
+        x = CirclePoint(Fraction(3, 5), Fraction(4, 5))
+        for q in (GaussianInt(1, 1), GaussianInt(3)):
+            gf = GaussianFactorization(GaussianInt(1), ((q, 2),))
+            monkeypatch.setattr(structure, "gaussian_factorize", lambda z: gf)
+            with pytest.raises(ArithmeticError, match="above 2 or an inert prime"):
+                factor_point(x)
+
+    def test_one_gaussian_factorization_and_no_basis_powers(self, monkeypatch):
+        x = I * zeta_p(5) ** 3 * zeta_p(13) ** -2
+        calls = Counter()
+        for name in ("gaussian_factorize", "zeta_power", "recombine"):
+
+            def counted(*args, _name=name, _real=getattr(structure, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(structure, name, counted)
+        assert factor_point(x) == BasisFactorization(1, ((5, 3), (13, -2)))
+        assert calls == {"gaussian_factorize": 1}
+
+    def test_basis_point_near_1e12(self):
+        sympy = pytest.importorskip("sympy")
+        x = zeta_p(P)
+        assert sympy.factorint(x.s.denominator) == {P: 1}
+        assert factor_point(x) == BasisFactorization(0, ((P, 1),))
 
     def test_squared_point(self):
         f = factor_point(CirclePoint(Fraction(-7, 25), Fraction(24, 25)))
@@ -253,6 +292,13 @@ class TestEnumeration:
         monkeypatch.setattr("circletriples.structure.pt", lambda x: NormalizedTriple(3, 4, 5))
         with pytest.raises(ArithmeticError, match="another hypotenuse"):
             enumerate_triples(65)
+
+    def test_count_of_prime_powers_near_1e12(self):
+        sympy = pytest.importorskip("sympy")
+        for c in (P**2, P**3, Q * P**2):
+            fac = sympy.factorint(c)
+            assert all(p % 4 == 1 for p in fac)
+            assert count_triples(c) == 2 ** (len(fac) - 1), c
 
     def test_count_of_psi_12(self):
         # 399165290221 * 798330580441, both = 1 (mod 4), and a strong
