@@ -62,11 +62,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_triples(args) -> int:
+    # the oracle first, so that a c beyond its bound is refused at once
+    expected = oracle.brute_triples(args.c) if args.verify else None
     triples = structure.enumerate_triples(args.c)
     status = 0
     verified = None
     if args.verify:
-        verified = triples == oracle.brute_triples(args.c)
+        verified = triples == expected
         if not verified:
             print(f"verification failed for c={args.c}", file=sys.stderr)
             status = 1
@@ -279,7 +281,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         help_text, handler, arguments = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.add_argument("--seed", type=int, metavar="U64", help="reseed two-squares root finding")
+        p.add_argument("--seed", type=int, metavar="U64", help="accepted; has no effect")
         for flag, options in arguments:
             p.add_argument(flag, **options)
             if options.get("type") is _fraction:

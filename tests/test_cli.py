@@ -3,6 +3,7 @@ import json
 import pytest
 
 from circletriples.cli import main
+from circletriples.oracle import MAX_BRUTE_HYPOTENUSE
 from circletriples.structure import BasisFactorization, recombine
 
 
@@ -142,6 +143,15 @@ def test_unproject(capsys):
 
 def test_oracle(capsys):
     assert run(capsys, "oracle", "625") == (0, "336 527 625\n", "")
+
+
+@pytest.mark.parametrize("argv", [["oracle"], ["triples", "--verify"], ["triples", "--verify", "--json"]])
+def test_oracle_refuses_beyond_its_bound(capsys, argv):
+    # 0.92 * sqrt(c) gaps: hours of scanning at 10^20, so a refusal must come at once
+    for c in (MAX_BRUTE_HYPOTENUSE + 1, 10**20 + 1):
+        code, out, err = run(capsys, *argv, str(c))
+        assert (code, out) == (2, "")
+        assert "brute oracle" in err and str(MAX_BRUTE_HYPOTENUSE) in err
 
 
 def test_seed_flag_changes_nothing(capsys):

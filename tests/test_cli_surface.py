@@ -74,7 +74,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -90,7 +90,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
             "  --verify    cross-check against the brute-force oracle\n"
             "  --limit N   print at most N rows\n"
         ),
@@ -107,7 +107,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -123,7 +123,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -138,7 +138,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -154,7 +154,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -170,7 +170,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -185,7 +185,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -200,7 +200,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),
@@ -212,7 +212,7 @@ SURFACE = {
             "options:\n"
             "  -h, --help  show this help message and exit\n"
             "  --json      emit a JSON document\n"
-            "  --seed U64  reseed two-squares root finding\n"
+            "  --seed U64  accepted; has no effect\n"
         ),
         "",
     ),

@@ -62,7 +62,8 @@ def spec_triples_scan(c):
 
 
 def test_triples_scan_matches_spec_below_3000():
-    # the skipped residues depend only on c mod 360, so this covers them all
+    # c = 1 and 2 (d_max = 0), odd and even c, and hits at gaps k^2 (b even)
+    # and 2k^2 (b odd), at d_max itself too (c = 5, 29, 169, 985)
     for c in range(1, 3000):
         assert _kernels_py.triples_scan(c) == spec_triples_scan(c), c
     assert _kernels_py.triples_scan(1) == _kernels_py.triples_scan(2) == []
@@ -81,7 +82,10 @@ def test_triples_scan_matches_spec_below_3000():
         900001,  # prime, 1 (mod 4)
         449 * 1009,
         61 * 73 * 101,
-        17485,  # a triple in the partial last wheel block, gap 5041 of 5121
+        17485,  # the last square gap below d_max = 5121, 71^2 = 5041, gives a triple
+        2**6 * 5**2 * 13 * 17,  # even, 4 | c
+        5741,  # prime; its only triple has gap 41^2 = d_max, b = 4060 even
+        33461,  # prime; its only triple has gap 2 * 70^2 = d_max, b = 23661 odd
     ],
 )
 def test_triples_scan_matches_spec_at_scale(c):

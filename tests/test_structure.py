@@ -283,6 +283,21 @@ class TestEnumeration:
             assert enumerate_triples(c) == expected
             assert count_triples(c) == len(expected)
 
+    @pytest.mark.parametrize(
+        "c, n",
+        [
+            (5**13 * 13**2, 2),
+            (101 * 109 * 113 * 137 * 149, 2**4),
+            (5 * 13 * 17 * 29 * 37 * 10009, 2**5),
+            (P, 1),  # prime, 1 (mod 4)
+            (3 * 5 * 13 * 17 * 29 * 37 * 2857, 0),  # 3 divides c: no triple
+        ],
+    )
+    def test_agrees_with_oracle_between_1e10_and_1e12(self, c, n):
+        expected = brute_triples(c)
+        assert len(expected) == n
+        assert enumerate_triples(c) == expected
+
     def test_count_without_enumeration_is_fast_for_many_factors(self):
         # 8 distinct split primes: enumeration would build 128 huge points
         c = 5 * 13 * 17 * 29 * 37 * 41 * 53 * 61
