@@ -260,39 +260,45 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with only `command`'s subparser when it names one, else all ten.
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `parser` the options and arguments of the command `name`."""
+    _, handler, arguments = _COMMANDS[name]
+    parser.add_argument("--json", action="store_true", help="emit a JSON document")
+    parser.add_argument("--seed", type=int, metavar="U64", help="accepted; has no effect")
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+        if options.get("type") is _fraction:
+            parser._negative_number_matcher = _NEGATIVE_NUMBER
+    parser.set_defaults(command=name, func=handler)
+    return parser
 
-    Building parsers would otherwise be most of a short call's cost. Help
-    and usage errors for anything but a known command list all ten, and a
-    one-command parser still shows all ten names in its usage line, so the
-    output is the same either way.
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with all ten commands, for help and usage errors.
+
+    `main` parses a call that names a command with that command's parser
+    alone, since building all ten would be most of a short call's cost; it
+    turns here for help, a missing or unknown command, and tokens the
+    command does not take, so those print the top-level usage.
     """
     parser = argparse.ArgumentParser(
         prog="circletriples",
         description="Count and enumerate normalized Pythagorean triples via the rational unit circle.",
     )
-    if command in _COMMANDS:
-        chosen, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
-    else:
-        chosen, metavar = list(_COMMANDS), None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in chosen:
-        help_text, handler, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit a JSON document")
-        p.add_argument("--seed", type=int, metavar="U64", help="accepted; has no effect")
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-            if options.get("type") is _fraction:
-                p._negative_number_matcher = _NEGATIVE_NUMBER
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args, extra = None, argv
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"circletriples {argv[0]}")
+        args, extra = _add_command(parser, argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     args.input_echo = {
         k: str(v)
         for k, v in vars(args).items()

@@ -7,6 +7,7 @@ every circle basis point downstream.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from enum import Enum
@@ -14,15 +15,35 @@ from typing import NamedTuple, Optional
 
 from .exactmath import GaussianInt, gaussian_gcd
 
-# The first 13 prime bases prove compositeness for every composite below
-# psi_13 = 3.3e24, the smallest strong pseudoprime to all of them (OEIS
-# A014233); so in particular the test is deterministic for all 64-bit inputs.
+# psi_k is the smallest strong pseudoprime to the first k of _MR_BASES (OEIS
+# A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp.
+# 86, 2017), so the first k bases prove every odd n < psi_k. psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11: an n at or above one of these needs the next
+# distinct entry's bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
 # factorize finds the primes below this that divide c with one gcd against
 # their product; what is left of c is proven prime or split by rho
 _TRIAL_LIMIT = 10**4
+
+# Pollard rho gives up on a cofactor once Brent's cycle lengths, summed over
+# restarts, pass this (about 6 s); q * p**2 with p, q near 1e12 needs 2**21 - 1
+_RHO_MAX_STEPS = 2**22
 
 
 class PrimeClass(Enum):
@@ -63,17 +84,23 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: proven for n below psi_13 = 3.3e24.
+
+    Below the trial limit the answer is a lookup in the trial primes. Below
+    psi_13, Miller-Rabin with the first k prime bases for the least k with
+    n < psi_k decides it. Above, a fixed batch of pseudorandom witnesses
+    seeded by n joins the 13 bases.
+    """
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
-    if n < 2:
-        return False
+    if n < _TRIAL_LIMIT:
+        return n in _TRIAL_PRIME_SET
     for p in _MR_BASES:
         if n % p == 0:
-            return n == p
-    if n < _MR_PROVEN_BOUND:
-        return _miller_rabin(n, _MR_BASES)
-    # Inputs this large are far outside the intended scale; add a fixed
-    # batch of extra pseudorandom witnesses on top of the proven base set.
+            return False
+    k = bisect.bisect_right(_MR_PSI, n)  # n < psi_(k+1), the first psi above n
+    if k < len(_MR_PSI):
+        return _miller_rabin(n, _MR_BASES[: k + 1])
     rng = random.Random(n)
     extra = tuple(rng.randrange(2, n - 1) for _ in range(24))
     return _miller_rabin(n, _MR_BASES + extra)
@@ -92,11 +119,22 @@ def primes_below(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(primes_below(_TRIAL_LIMIT))
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 _TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
+# (product, primes) of runs of 32 consecutive trial primes: factorize tests
+# single primes only in the runs whose product shares a factor with c
+_TRIAL_BLOCKS = tuple(
+    (math.prod(block), block)
+    for block in (_TRIAL_PRIMES[i : i + 32] for i in range(0, len(_TRIAL_PRIMES), 32))
+)
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:
-    """A nontrivial factor of composite odd n (Brent's cycle variant)."""
+    """A nontrivial factor of composite odd n (Brent's cycle variant).
+
+    Raises ValueError past _RHO_MAX_STEPS.
+    """
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -104,6 +142,12 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            steps += r
+            if steps > _RHO_MAX_STEPS:
+                raise ValueError(
+                    f"factorize: Pollard rho found no factor of {n} within its bound"
+                    f" of {_RHO_MAX_STEPS} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -157,20 +201,24 @@ def factorize(c: int) -> Factorization:
     factors: dict[int, int] = {}
     n = c
     g = math.gcd(n, _TRIAL_PRODUCT)  # squarefree: the trial primes that divide c
-    for p in _TRIAL_PRIMES:
+    for block_product, block in _TRIAL_BLOCKS:
         if g == 1:
             break
-        if g % p == 0:
-            g //= p
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            factors[p] = e
+        h = math.gcd(g, block_product)  # the primes of this block that divide c
+        if h == 1:
+            continue
+        g //= h
+        for p in block:
+            if h % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors[p] = e
     # the cofactor has no prime factor up to the trial limit: prove each
     # piece prime, replace a perfect power r**k by r with k times the
     # multiplicity, or split it with Pollard rho
-    rng = random.Random(n)
+    rng = None  # seeded by the cofactor, when one reaches rho
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, e = stack.pop()
@@ -182,6 +230,8 @@ def factorize(c: int) -> Factorization:
             r, k = power
             stack.append((r, k * e))
             continue
+        if rng is None:
+            rng = random.Random(n)
         f = _pollard_rho(m, rng)
         stack += [(f, e), (m // f, e)]
     entries = sorted(factors.items())

@@ -67,13 +67,12 @@ def canonical_irreducible(p: int) -> GaussianInt:
     For p = 1 (mod 4) this is m + n*i with 0 < m < n; for 2 it is 1 + i;
     for p = 3 (mod 4) the prime itself stays irreducible.
     """
-    cls = classify(p)
-    if cls is PrimeClass.P2:
+    if p % 4 == 1:
+        m, n = two_squares(p)  # proves p prime, or raises ValueError
+        return GaussianInt(m, n)
+    if classify(p) is PrimeClass.P2:
         return GaussianInt(1, 1)
-    if cls is PrimeClass.P3:
-        return GaussianInt(p)
-    m, n = two_squares(p)
-    return GaussianInt(m, n)
+    return GaussianInt(p)
 
 
 def gaussian_factorize(z: GaussianInt) -> GaussianFactorization:

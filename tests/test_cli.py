@@ -154,6 +154,23 @@ def test_oracle_refuses_beyond_its_bound(capsys, argv):
         assert "brute oracle" in err and str(MAX_BRUTE_HYPOTENUSE) in err
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_factoring_refuses_beyond_the_rho_bound(capsys, monkeypatch, json_flag):
+    p, q = 1000033, 1000037  # primes = 1 (mod 4); rho needs about a thousand steps
+    x = recombine(BasisFactorization(0, ((p, 1), (q, 1))))
+    calls = [
+        ["count", str(p * q)],
+        ["triples", str(p * q)],
+        ["factor-point", str(x.s), str(x.t)],
+    ]
+    assert run(capsys, "count", str(p * q)) == (0, "2\n", "")
+    monkeypatch.setattr("circletriples.primes._RHO_MAX_STEPS", 64)
+    for argv in calls:
+        code, out, err = run(capsys, *argv, *json_flag)
+        assert (code, out) == (2, ""), argv
+        assert "factorize: Pollard rho" in err and "bound of 64 steps" in err, argv
+
+
 def test_seed_flag_changes_nothing(capsys):
     _, base, _ = run(capsys, "zeta", "13")
     for seed in ("0", "1", "18446744073709551615"):

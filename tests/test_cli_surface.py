@@ -1,9 +1,11 @@
-"""The CLI's help and usage errors, byte for byte, and the cost of parsing.
+"""The CLI's help, usage errors and outputs, byte for byte, and the cost of parsing.
 
-The expected texts were captured from the CLI as it stood before `main`
-built only the subparser a call names; they must not change with that.
-argparse words its help differently between Python versions, so the texts
-are those of Python 3.11 and the comparison runs only there.
+The help and usage texts were captured from the CLI as it stood before
+`main` built only the subparser a call names, and the calls of CALLS
+before it parsed a named command with that command's parser alone; they
+must not change with either. argparse words its help differently between
+Python versions, so the texts are those of Python 3.11 and the comparison
+runs only there.
 """
 
 import argparse
@@ -249,7 +251,159 @@ def test_help_and_usage_errors_are_unchanged(capsys, monkeypatch, argv):
     assert (exc.value.code, captured.out, captured.err) == SURFACE[argv]
 
 
-def test_count_builds_at_most_two_parsers(capsys, monkeypatch):
+# argv -> (exit code, stdout, stderr), at a terminal width of 80 columns: errors
+# inside a command, abbreviated options, and one --json call of each command
+CALLS = {
+    ("count",): (
+        2,
+        "",
+        (
+            "usage: circletriples count [-h] [--json] [--seed U64] c\n"
+            "circletriples count: error: the following arguments are required: c\n"
+        ),
+    ),
+    ("count", "-7"): (
+        2,
+        "",
+        (
+            "usage: circletriples count [-h] [--json] [--seed U64] c\n"
+            "circletriples count: error: argument c: expected a positive integer, got '-7'\n"
+        ),
+    ),
+    ("count", "abc"): (
+        2,
+        "",
+        (
+            "usage: circletriples count [-h] [--json] [--seed U64] c\n"
+            "circletriples count: error: argument c: invalid _positive_int value: 'abc'\n"
+        ),
+    ),
+    ("count", "65", "--seed", "x"): (
+        2,
+        "",
+        (
+            "usage: circletriples count [-h] [--json] [--seed U64] c\n"
+            "circletriples count: error: argument --seed: invalid int value: 'x'\n"
+        ),
+    ),
+    ("factor-point", "3/5"): (
+        2,
+        "",
+        (
+            "usage: circletriples factor-point [-h] [--json] [--seed U64] s t\n"
+            "circletriples factor-point: error: the following arguments are required: t\n"
+        ),
+    ),
+    ("triples", "65", "--limit", "0"): (
+        2,
+        "",
+        (
+            "usage: circletriples triples [-h] [--json] [--seed U64] [--verify] [--limit N]\n"
+            "                             c\n"
+            "circletriples triples: error: argument --limit: expected a positive integer, got '0'\n"
+        ),
+    ),
+    ("count", "65", "--js"): (
+        0,
+        '{"command": "count", "input": {"c": "65"}, "result": "2"}\n',
+        "",
+    ),
+    ("triples", "65", "--ver", "--js"): (
+        0,
+        (
+            '{"command": "triples", "input": {"c": "65", "verify": "True"}, "result": {"triples": [{"a": "16", "b": "63", "c": "65"}, {"a": "33", "b": "56", "c": "65"}], "verified": true}}\n'
+        ),
+        "",
+    ),
+    ("count", "65", "--seed=3"): (
+        0,
+        "2\n",
+        "",
+    ),
+    ("count", "65", "--json"): (
+        0,
+        '{"command": "count", "input": {"c": "65"}, "result": "2"}\n',
+        "",
+    ),
+    ("triples", "65", "--verify", "--limit", "1", "--json"): (
+        0,
+        (
+            '{"command": "triples", "input": {"c": "65", "verify": "True", "limit": "1"}, "result": {"triples": [{"a": "16", "b": "63", "c": "65"}], "verified": true}}\n'
+        ),
+        "",
+    ),
+    ("zeta", "13", "--json"): (
+        0,
+        '{"command": "zeta", "input": {"p": "13"}, "result": {"s": "-5/13", "t": "12/13"}}\n',
+        "",
+    ),
+    ("pow", "5", "-2", "--json"): (
+        0,
+        (
+            '{"command": "pow", "input": {"p": "5", "n": "-2"}, "result": {"point": {"s": "-7/25", "t": "24/25"}, "triple": {"a": "7", "b": "24", "c": "25"}}}\n'
+        ),
+        "",
+    ),
+    ("table", "2", "--json"): (
+        0,
+        (
+            '{"command": "table", "input": {"n_max": "2"}, "result": [{"n": "1", "point": {"s": "3/5", "t": "4/5"}, "triple": {"a": "3", "b": "4", "c": "5"}}, {"n": "2", "point": {"s": "-7/25", "t": "24/25"}, "triple": {"a": "7", "b": "24", "c": "25"}}]}\n'
+        ),
+        "",
+    ),
+    ("factor-point", "-3/5", "4/5", "--json"): (
+        0,
+        (
+            '{"command": "factor-point", "input": {"s": "-3/5", "t": "4/5"}, "result": {"unit_exp": "0", "terms": [{"p": "5", "e": "1"}]}}\n'
+        ),
+        "",
+    ),
+    ("project", "3/5", "-4/5", "--json"): (
+        0,
+        '{"command": "project", "input": {"s": "3/5", "t": "-4/5"}, "result": "1/3"}\n',
+        "",
+    ),
+    ("unproject", "-1/2", "--json"): (
+        0,
+        '{"command": "unproject", "input": {"r": "-1/2"}, "result": {"s": "-4/5", "t": "-3/5"}}\n',
+        "",
+    ),
+    ("oracle", "65", "--json"): (
+        0,
+        (
+            '{"command": "oracle", "input": {"c": "65"}, "result": [{"a": "16", "b": "63", "c": "65"}, {"a": "33", "b": "56", "c": "65"}]}\n'
+        ),
+        "",
+    ),
+    ("selftest", "--json"): (
+        0,
+        (
+            '{"command": "selftest", "input": {}, "result": [{"check": "enumeration_matches_oracle", "ok": true}, {"check": "two_squares_matches_search", "ok": true}, {"check": "factorization_roundtrip", "ok": true}, {"check": "projection_roundtrip", "ok": true}, {"check": "orbits_have_size_8", "ok": true}]}\n'
+        ),
+        "",
+    ),
+}
+VALID = [argv for argv, (code, _, _) in CALLS.items() if code == 0]
+
+
+def call(argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse help text of Python 3.11")
+@pytest.mark.parametrize("argv", list(CALLS), ids=" ".join)
+def test_calls_are_unchanged(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = call(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == CALLS[argv]
+
+
+@pytest.mark.parametrize("argv", VALID, ids=" ".join)
+def test_a_valid_call_builds_one_parser(capsys, monkeypatch, argv):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -258,6 +412,6 @@ def test_count_builds_at_most_two_parsers(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert main(["count", "65"]) == 0
-    assert capsys.readouterr().out == "2\n"
-    assert len(built) <= 2
+    assert call(argv) == 0
+    assert capsys.readouterr().out == CALLS[argv][1]
+    assert len(built) == 1

@@ -39,6 +39,43 @@ def test_is_prime_rejects_psi_12_and_psi_13():
     assert not is_prime(PSI_13)
 
 
+# psi_k for k = 1..13 (OEIS A014233): composite, and a strong pseudoprime to
+# exactly the first k prime bases; psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    PSI_12,
+    PSI_13,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_is_prime_rejects_every_psi_k(k):
+    psi = PSI[k - 1]
+    last = max(j for j in range(1, 14) if PSI[j - 1] == psi)
+    assert primes._miller_rabin(psi, BASES[:last])
+    assert last == 13 or not primes._miller_rabin(psi, BASES[: last + 1])
+    assert not is_prime(psi)
+
+
+def test_is_prime_matches_sympy_around_every_psi_k():
+    sympy = pytest.importorskip("sympy")
+    for psi in sorted(set(PSI)):
+        assert is_prime(sympy.prevprime(psi)), psi
+        for n in range(psi - 300, psi + 300):
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_is_prime_matches_sieve():
     sieve = set(primes_below(10000))
     for n in range(10000):
@@ -81,6 +118,31 @@ def test_factorize_around_the_trial_bound_matches_sympy():
     cases += [P**2, P**3, Q * P**2, (10007 * 10009) ** 5, 10007**2 * 10009**3]
     for c in cases:
         assert factorize(c) == sorted(sympy.factorint(c).items()), c
+
+
+def test_factorize_across_the_trial_blocks_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    blocks = [block for _, block in primes._TRIAL_BLOCKS]
+    assert [p for block in blocks for p in block] == primes_below(10**4)
+    assert all(product == math.prod(block) for product, block in primes._TRIAL_BLOCKS)
+    ends = [(block[0], block[-1]) for block in blocks]
+    cases = [first * last for first, last in ends[:3] + ends[-3:]]
+    cases += [first**3 * last**2 for first, last in ends[10:14]]
+    cases += [math.prod(first * last for first, last in ends)]
+    cases += [ends[4][1] * ends[5][0] * 999999999989, ends[-1][0] * ends[-2][1] ** 5]
+    # the largest trial prime, squared and beside the first prime above 1e4
+    cases += [9973**2, 9973 * 10007, 9973**2 * 10007**2]
+    for c in cases:
+        assert factorize(c) == sorted(sympy.factorint(c).items()), c
+
+
+def test_rho_refuses_beyond_its_bound(monkeypatch):
+    p, q = 1000003, 1000033  # rho needs about a thousand steps to split p*q
+    assert factorize(p * q) == [(p, 1), (q, 1)]
+    monkeypatch.setattr(primes, "_RHO_MAX_STEPS", 64)
+    with pytest.raises(ValueError, match=r"factorize: Pollard rho .* bound of 64 steps"):
+        factorize(p * q)
+    assert factorize(P**2 * 9973) == [(9973, 1), (P, 2)]  # no rho run needed
 
 
 def test_prime_powers_never_reach_rho(monkeypatch):

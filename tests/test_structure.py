@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circletriples import structure
+from circletriples import primes, structure
 from circletriples.circle import CirclePoint, I, NormalizedTriple, ONE, is_unit, pt
 from circletriples.exactmath import GaussianInt
 from circletriples.oracle import brute_triples
@@ -181,6 +181,20 @@ class TestFactorRecombine:
             monkeypatch.setattr(structure, name, counted)
         assert factor_point(x) == BasisFactorization(1, ((5, 3), (13, -2)))
         assert calls == {"gaussian_factorize": 1}
+
+    def test_one_primality_proof_per_prime(self, monkeypatch):
+        # primes below the trial limit leave factorize no cofactor to prove,
+        # so each is_prime call comes from canonical_irreducible
+        x = zeta_p(5) ** 2 * zeta_p(13) ** -1 * zeta_p(9973) * I
+        calls = Counter()
+
+        def counted(n, _real=primes.is_prime):
+            calls[n] += 1
+            return _real(n)
+
+        monkeypatch.setattr(primes, "is_prime", counted)
+        assert factor_point(x) == BasisFactorization(1, ((5, 2), (13, -1), (9973, 1)))
+        assert calls == {5: 1, 13: 1, 9973: 1}
 
     def test_basis_point_near_1e12(self):
         sympy = pytest.importorskip("sympy")
