@@ -6,7 +6,6 @@ from .circle import (
     NormalizedTriple,
     gamma_orbit,
     is_unit,
-    make_point,
     point_from_triple,
     pt,
     stereo_project,

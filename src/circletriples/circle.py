@@ -70,10 +70,6 @@ MINUS_I = CirclePoint(Fraction(0), Fraction(-1))
 UNIT_POINTS = (ONE, I, MINUS_ONE, MINUS_I)
 
 
-def make_point(s, t) -> CirclePoint:
-    return CirclePoint(s, t)
-
-
 def is_unit(x: CirclePoint) -> bool:
     return x in UNIT_POINTS
 

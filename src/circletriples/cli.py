@@ -34,12 +34,8 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
 def _point_json(x: CirclePoint) -> dict:
-    return {"s": _rat(x.s), "t": _rat(x.t)}
+    return {"s": str(x.s), "t": str(x.t)}
 
 
 def _triple_json(t: NormalizedTriple) -> dict:
@@ -111,7 +107,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_factor_point(args) -> int:
-    x = circle.make_point(args.s, args.t)
+    x = CirclePoint(args.s, args.t)
     f = structure.factor_point(x)
     payload = {
         "unit_exp": str(f.unit_exp),
@@ -123,9 +119,9 @@ def _cmd_factor_point(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    x = circle.make_point(args.s, args.t)
+    x = CirclePoint(args.s, args.t)
     r = circle.stereo_project(x)
-    _emit(args, _rat(r), [_rat(r)])
+    _emit(args, str(r), [str(r)])
     return 0
 
 

@@ -1,9 +1,10 @@
 """Exact Gaussian-integer arithmetic.
 
 Gaussian integers (elements m + n*i of Z[i]) get their own small class; the
-stdlib has nothing exact for them. Division with remainder rounds the
-quotient coordinates to nearest, which makes the Euclidean algorithm in Z[i]
-terminate (the remainder norm drops by a factor of at least 2).
+stdlib has nothing exact for them. The package divides only exactly, with
+try_divexact. Division with remainder (divmod) rounds the quotient
+coordinates to nearest, so the remainder's norm is at most half the
+divisor's.
 """
 
 from __future__ import annotations
@@ -99,12 +100,6 @@ class GaussianInt:
         q = GaussianInt((2 * num.re + n) // (2 * n), (2 * num.im + n) // (2 * n))
         return q, self - q * other
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
 
 def try_divexact(z: GaussianInt, d: GaussianInt):
     """The exact quotient z / d in Z[i], or None when d does not divide z."""
@@ -113,18 +108,3 @@ def try_divexact(z: GaussianInt, d: GaussianInt):
     if num.re % n or num.im % n:
         return None
     return GaussianInt(num.re // n, num.im // n)
-
-
-def divexact(z: GaussianInt, d: GaussianInt) -> GaussianInt:
-    """Exact quotient z / d in Z[i]; raises if d does not divide z."""
-    q = try_divexact(z, d)
-    if q is None:
-        raise ValueError(f"{d!r} does not divide {z!r} in Z[i]")
-    return q
-
-
-def gaussian_gcd(a: GaussianInt, b: GaussianInt) -> GaussianInt:
-    """A greatest common divisor of a and b in Z[i] (unique up to units)."""
-    while b:
-        a, b = b, a % b
-    return a

@@ -11,9 +11,7 @@ import bisect
 import math
 import random
 from enum import Enum
-from typing import NamedTuple, Optional
-
-from .exactmath import GaussianInt, gaussian_gcd
+from typing import Optional
 
 # psi_k is the smallest strong pseudoprime to the first k of _MR_BASES (OEIS
 # A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp.
@@ -50,11 +48,6 @@ class PrimeClass(Enum):
     P1 = 1  # p = 1 (mod 4)
     P2 = 2  # p = 2
     P3 = 3  # p = 3 (mod 4)
-
-
-class TwoSquares(NamedTuple):
-    m: int
-    n: int
 
 
 # entries (prime, exponent), primes strictly increasing, exponents >= 1
@@ -264,21 +257,22 @@ def _sqrt_minus_one(p: int) -> int:
         a += 1
 
 
-def two_squares(p: int, rng: Optional[random.Random] = None) -> TwoSquares:
-    """The unique decomposition p = m**2 + n**2 with 0 < m < n.
+def two_squares(p: int, rng: Optional[random.Random] = None) -> tuple[int, int]:
+    """The unique decomposition p = m**2 + n**2 with 0 < m < n, as (m, n).
 
-    Finds a square root of -1 mod p, then takes the Gaussian gcd of p and
-    root + i; its coordinates are the answer up to unit and conjugation.
-    The search is deterministic, so `rng` is accepted but unused.
+    Runs the Euclidean algorithm on p and a square root x of -1 mod p: the
+    first two remainders below sqrt(p) are m and n (Brillhart, Math. Comp.
+    26, 1972). The search is deterministic, so `rng` is accepted but unused.
     """
     cls = classify(p)
     if cls is not PrimeClass.P1:
         raise ValueError(
             f"{p} is in class {cls.name}; only primes = 1 (mod 4) are sums of two squares"
         )
-    x = _sqrt_minus_one(p)
-    g = gaussian_gcd(GaussianInt(p), GaussianInt(x, 1))
-    m, n = sorted((abs(g.re), abs(g.im)))
+    a, b, r = p, _sqrt_minus_one(p), math.isqrt(p)
+    while b > r:
+        a, b = b, a % b
+    m, n = sorted((b, a % b))
     if not (0 < m < n and m * m + n * n == p):
         raise ArithmeticError(f"two_squares({p}): {m}**2 + {n}**2 is not a decomposition")
-    return TwoSquares(m, n)
+    return m, n

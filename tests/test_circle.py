@@ -17,7 +17,6 @@ from circletriples.circle import (
     NormalizedTriple,
     gamma_orbit,
     is_unit,
-    make_point,
     point_from_triple,
     pt,
     stereo_project,
@@ -34,7 +33,7 @@ points = (
 
 
 def P(s, t):
-    return make_point(Fraction(s), Fraction(t))
+    return CirclePoint(Fraction(s), Fraction(t))
 
 
 class TestConstruction:
@@ -48,7 +47,7 @@ class TestConstruction:
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            make_point(0.6, 0.8)
+            CirclePoint(0.6, 0.8)
 
 
 class TestGroupLaw:

@@ -116,6 +116,10 @@ def test_oracle_knows_no_primes_or_structure():
         assert not _package_imports(module) & {"primes", "structure"}, module
 
 
+def test_primes_imports_no_package_module():
+    assert _package_imports("primes") == set()
+
+
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements; every check must be an explicit raise
     package = Path(oracle.__file__).parent

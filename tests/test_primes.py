@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circletriples import primes
-from circletriples.exactmath import GaussianInt
 from circletriples.primes import (
     PrimeClass,
     classify,
@@ -211,11 +210,23 @@ def test_two_squares_rejects_other_classes():
 
 
 def test_two_squares_agrees_with_search_below_10000():
-    for p in primes_below(10000):
+    # every prime below 10**4, and a few near 10**6, 10**8 and 10**9
+    near = [p for base in (10**6, 10**8, 10**9) for p in range(base, base + 100) if is_prime(p)]
+    for p in primes_below(10000) + near:
         if p % 4 == 1:
             m, n = two_squares(p)
             assert 0 < m < n and m * m + n * n == p
             assert (m, n) == exhaustive_two_squares(p)
+
+
+def test_two_squares_matches_sympy_beyond_the_search():
+    sympy = pytest.importorskip("sympy")
+    from sympy.solvers.diophantine.diophantine import sum_of_squares
+
+    # near 10**12, between psi_12 and psi_13, and above psi_13
+    for p in (10**12 - 11, 10**12 + 61, 4 * 10**23 + 69, 2 * 10**24 + 17, 10**25 + 13, 10**30 + 57):
+        assert sympy.isprime(p) and p % 4 == 1
+        assert [two_squares(p)] == list(sum_of_squares(p, 2))
 
 
 def test_two_squares_output_ignores_seed():
@@ -225,6 +236,7 @@ def test_two_squares_output_ignores_seed():
 
 
 def test_two_squares_certificate_survives_optimization(monkeypatch):
-    monkeypatch.setattr(primes, "gaussian_gcd", lambda a, b: GaussianInt(1, 1))
+    # 1 is not a root of -1 mod 13, so the Euclidean steps end on 1 and 0
+    monkeypatch.setattr(primes, "_sqrt_minus_one", lambda p: 1)
     with pytest.raises(ArithmeticError, match="not a decomposition"):
         two_squares(13)
