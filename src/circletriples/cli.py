@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -82,7 +83,23 @@ def _cmd_zeta(args) -> int:
     return 0
 
 
+def _refuse_unprintable(command: str, p: int, k: int) -> None:
+    """Refuse p**k, the longest integer `command` prints, before computing
+    anything, when it has more digits than Python converts to text.
+    """
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # p**k has about k*log10(p) + 1 digits; the float decides it unless it
+    # lies within 1 of the limit, where p**k costs little to compare exactly
+    digits = k * math.log10(p)
+    if limit and digits > limit - 1 and (digits > limit + 1 or p**k >= 10**limit):
+        raise ValueError(
+            f"{command}: {p}**{k} would have more than {limit} decimal digits,"
+            f" the limit of sys.get_int_max_str_digits()"
+        )
+
+
 def _cmd_pow(args) -> int:
+    _refuse_unprintable("pow", args.p, abs(args.n))
     x = structure.zeta_power(args.p, args.n)
     if circle.is_unit(x):
         _emit(args, {"point": _point_json(x), "triple": None}, [str(x), "unit"])
@@ -94,6 +111,7 @@ def _cmd_pow(args) -> int:
 
 def _cmd_table(args) -> int:
     seed = NormalizedTriple(3, 4, 5)
+    _refuse_unprintable("table", seed.c, args.n_max)
     rows = structure.powers_table(seed, args.n_max)
     payload = []
     lines = []

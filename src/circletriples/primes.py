@@ -187,10 +187,34 @@ def _perfect_power(m: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def factorize(c: int) -> Factorization:
-    """Prime factorization of c as sorted (prime, exponent) pairs."""
+def _refuted(c: int, w: int) -> None:
+    """factorize's None for a c with a prime factor that is not 1 (mod 4).
+
+    The witness w certifies it: every divisor of a c whose primes are all
+    1 (mod 4) is 1 (mod 4) itself, so w must divide c and must not be.
+    """
+    if c % w or w % 4 == 1:
+        raise ArithmeticError(
+            f"factorize({c}): {w} is no witness to a prime factor other than 1 (mod 4)"
+        )
+    return None
+
+
+def factorize(c: int, *, only_1_mod_4: bool = False) -> Optional[Factorization]:
+    """Prime factorization of c as sorted (prime, exponent) pairs.
+
+    With only_1_mod_4, returns None as soon as c shows a prime factor that
+    is not 1 (mod 4): when c itself is not 1 (mod 4), which covers even c,
+    when a trial prime of that kind divides it, or when a cofactor piece (a
+    Pollard rho half or a perfect-power root) is 3 (mod 4), checked before
+    the piece is proven prime or split. So an answer of 0 stops at the
+    first such factor, but p*q with p, q both 3 (mod 4) is 1 (mod 4) and
+    still needs its split.
+    """
     if c < 2:
         raise ValueError("factorize requires an integer >= 2")
+    if only_1_mod_4 and c % 4 != 1:
+        return _refuted(c, c)
     factors: dict[int, int] = {}
     n = c
     g = math.gcd(n, _TRIAL_PRODUCT)  # squarefree: the trial primes that divide c
@@ -203,6 +227,8 @@ def factorize(c: int) -> Factorization:
         g //= h
         for p in block:
             if h % p == 0:
+                if only_1_mod_4 and p % 4 != 1:
+                    return _refuted(c, p)
                 e = 0
                 while n % p == 0:
                     n //= p
@@ -215,6 +241,8 @@ def factorize(c: int) -> Factorization:
     stack = [(n, 1)] if n > 1 else []
     while stack:
         m, e = stack.pop()
+        if only_1_mod_4 and m % 4 != 1:
+            return _refuted(c, m)
         if is_prime(m):
             factors[m] = factors.get(m, 0) + e
             continue
@@ -269,6 +297,11 @@ def two_squares(p: int, rng: Optional[random.Random] = None) -> tuple[int, int]:
         raise ValueError(
             f"{p} is in class {cls.name}; only primes = 1 (mod 4) are sums of two squares"
         )
+    return _euclid_two_squares(p)
+
+
+def _euclid_two_squares(p: int) -> tuple[int, int]:
+    """two_squares for a p already proven prime and 1 (mod 4)."""
     a, b, r = p, _sqrt_minus_one(p), math.isqrt(p)
     while b > r:
         a, b = b, a % b

@@ -25,7 +25,7 @@ from .circle import (
     point_from_triple,
 )
 from .exactmath import GaussianInt, try_divexact
-from .primes import PrimeClass, classify, factorize, two_squares
+from .primes import PrimeClass, _euclid_two_squares, classify, factorize, two_squares
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,15 @@ def canonical_irreducible(p: int) -> GaussianInt:
     For p = 1 (mod 4) this is m + n*i with 0 < m < n; for 2 it is 1 + i;
     for p = 3 (mod 4) the prime itself stays irreducible.
     """
+    classify(p)  # proves p prime, or raises ValueError
+    return _irreducible_above(p)
+
+
+def _irreducible_above(p: int) -> GaussianInt:
+    """canonical_irreducible for a p already proven prime."""
     if p % 4 == 1:
-        m, n = two_squares(p)  # proves p prime, or raises ValueError
-        return GaussianInt(m, n)
-    if classify(p) is PrimeClass.P2:
-        return GaussianInt(1, 1)
-    return GaussianInt(p)
+        return GaussianInt(*_euclid_two_squares(p))
+    return GaussianInt(1, 1) if p == 2 else GaussianInt(p)
 
 
 def gaussian_factorize(z: GaussianInt) -> GaussianFactorization:
@@ -90,7 +93,7 @@ def gaussian_factorize(z: GaussianInt) -> GaussianFactorization:
     rest = z
     nrm = z.norm()
     for p, e in factorize(nrm) if nrm > 1 else ():
-        q = canonical_irreducible(p)
+        q = _irreducible_above(p)  # factorize has proven p prime
         step = 2 if q.im == 0 else 1  # an inert q has norm p**2
         peeled = 0  # the power of p in the norms of the peeled factors
         for d in (q, q.conjugate()) if p % 4 == 1 else (q,):
@@ -184,16 +187,16 @@ def _splittable(c: int) -> Optional[list[tuple[int, int]]]:
     """Factorization of c if every prime factor is 1 (mod 4), else None."""
     if c == 1:
         return None
-    fac = factorize(c)
-    if any(p % 4 != 1 for p, _ in fac):
-        return None
-    return fac
+    return factorize(c, only_1_mod_4=True)
 
 
 def count_triples(c: int) -> int:
     """Number of normalized triples with hypotenuse c: 2**(k-1) or 0.
 
-    k is the number of distinct prime factors; no enumeration happens.
+    k is the number of distinct prime factors; no enumeration happens. A 0
+    stops at the first factor of c that is not 1 (mod 4), such as a small
+    prime 3 (mod 4) or a cofactor that is 3 (mod 4), without factoring the
+    rest; c = p*q with p, q both 3 (mod 4) still needs the split of p*q.
     """
     if c <= 0:
         raise ValueError("hypotenuse must be positive")

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import pytest
 
+from circletriples import structure
+from circletriples.circle import NormalizedTriple, point_from_triple, pt
 from circletriples.cli import main
 from circletriples.oracle import MAX_BRUTE_HYPOTENUSE
 from circletriples.structure import BasisFactorization, recombine
@@ -169,6 +172,86 @@ def test_factoring_refuses_beyond_the_rho_bound(capsys, monkeypatch, json_flag):
         code, out, err = run(capsys, *argv, *json_flag)
         assert (code, out) == (2, ""), argv
         assert "factorize: Pollard rho" in err and "bound of 64 steps" in err, argv
+
+
+# 20-digit primes: P3A and P3B are 3 (mod 4), P1 is 1 (mod 4)
+P3A, P3B, P1 = 10**19 + 51, 10**19 + 87, 10**19 + 97
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        3 * P3A * P3B,  # 3 (mod 4)
+        9 * P3A * P3B,  # 1 (mod 4), so the trial prime 3 must stop it
+        P1 * P3A,  # 3 (mod 4)
+        (P1 * P3A) ** 2,  # its root is 3 (mod 4)
+    ],
+)
+def test_a_zero_needs_no_split(capsys, monkeypatch, c):
+    # a factor not 1 (mod 4) shows before any cofactor would need a split
+    def no_rho(m, rng):
+        raise AssertionError(f"Pollard rho called on {m}")
+
+    monkeypatch.setattr("circletriples.primes._pollard_rho", no_rho)
+    assert run(capsys, "count", str(c)) == (0, "0\n", "")
+    assert run(capsys, "triples", str(c)) == (0, "", "")
+    code, out, err = run(capsys, "triples", str(c), "--json")
+    assert (code, err) == (0, "") and json.loads(out)["result"] == {"triples": []}
+
+
+def test_a_zero_that_needs_the_split_is_refused(capsys, monkeypatch):
+    # P3A * P3B is 1 (mod 4): only its split shows the primes 3 (mod 4)
+    monkeypatch.setattr("circletriples.primes._RHO_MAX_STEPS", 64)
+    for argv in (["count"], ["triples"], ["triples", "--json"]):
+        code, out, err = run(capsys, *argv, str(P3A * P3B))
+        assert (code, out) == (2, ""), argv
+        assert "factorize: Pollard rho" in err and "bound of 64 steps" in err, argv
+
+
+@pytest.fixture
+def default_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # Python's default limit for int-to-str
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_pow_and_table_print_up_to_the_digit_limit(capsys, monkeypatch, default_digit_limit):
+    assert 10**4299 <= 5**6151 < 10**4300 <= 5**6152  # 4300 digits, then 4301
+    for n in ("6151", "-6151"):
+        code, out, _ = run(capsys, "pow", "5", n)
+        assert code == 0 and out.split()[-1] == str(5**6151), n
+    # the real table would take a minute to compute its 6151 rows: its last row stands in
+    seed = NormalizedTriple(3, 4, 5)
+    last = point_from_triple(seed) ** 6151
+    monkeypatch.setattr(structure, "powers_table", lambda s, n: [(n, last, pt(last))])
+    code, out, _ = run(capsys, "table", "6151")
+    assert code == 0 and out.split()[-1] == str(5**6151)
+
+
+def test_pow_and_table_refuse_beyond_the_digit_limit(capsys, monkeypatch, default_digit_limit):
+    def never(*args):
+        raise AssertionError("computed a power that cannot be printed")
+
+    monkeypatch.setattr(structure, "zeta_power", never)
+    monkeypatch.setattr(structure, "powers_table", never)
+    calls = [
+        ["pow", "5", "6152"],
+        ["pow", "5", "-6152"],
+        ["pow", "5", "100000"],
+        ["pow", "999999999989", "1000"],
+        ["table", "6152"],
+        ["table", "7000"],
+    ]
+    for argv in calls:
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *json_flag)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: {argv[0]}: ") and "4300 decimal digits" in err, argv
+    monkeypatch.undo()
+    sys.set_int_max_str_digits(0)  # no limit, so no refusal
+    code, out, _ = run(capsys, "pow", "5", "6152")
+    assert code == 0 and out.split()[-1] == str(5**6152)
 
 
 def test_seed_flag_changes_nothing(capsys):

@@ -168,6 +168,41 @@ def test_factorize_certificate_survives_optimization(monkeypatch):
         factorize(10007 * 10009)
 
 
+def test_only_1_mod_4_stops_at_the_first_other_factor(monkeypatch):
+    tested = []
+
+    def counted(n, _real=primes.is_prime):
+        tested.append(n)
+        return _real(n)
+
+    monkeypatch.setattr(primes, "is_prime", counted)
+    assert factorize(10009 * 10037, only_1_mod_4=True) == [(10009, 1), (10037, 1)]
+    # a trial prime 3 (mod 4) in a c = 1 (mod 4)
+    for c in (3**2 * 10009, 7 * 11 * 10009):
+        tested.clear()
+        assert factorize(c, only_1_mod_4=True) is None and tested == [], c
+    # a rho half and a perfect-power root that are 3 (mod 4): neither is proven prime
+    for c in (10007 * 10039, 10007**2, (10007 * 10009) ** 2):
+        tested.clear()
+        assert factorize(c, only_1_mod_4=True) is None, c
+        assert tested == [c], c
+    assert factorize(10007 * 10039) == [(10007, 1), (10039, 1)]
+    # an even c, or one that is 3 (mod 4), needs no trial division or is_prime
+    monkeypatch.setattr(primes, "_TRIAL_PRODUCT", None)  # math.gcd would raise
+    tested.clear()
+    assert factorize(2 * 10009, only_1_mod_4=True) is None
+    assert factorize(10007 * 10009, only_1_mod_4=True) is None
+    assert tested == []
+
+
+def test_only_1_mod_4_certificate_survives_optimization(monkeypatch):
+    # a rho "factor" 10007 = 3 (mod 4) that does not divide: the piece
+    # 10039 it leaves beside it is 3 (mod 4) too, and no witness to c
+    monkeypatch.setattr(primes, "_pollard_rho", lambda m, rng: 10007)
+    with pytest.raises(ArithmeticError, match="no witness"):
+        factorize(10009 * 10037, only_1_mod_4=True)
+
+
 @given(st.integers(min_value=2, max_value=10**6))
 def test_factorize_remultiplies(c):
     fac = factorize(c)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,9 @@ from circletriples.structure import (
 )
 
 P1_SMALL = [p for p in primes_below(200) if p % 4 == 1]
+# 2, and primes 1 and 3 (mod 4) on both sides of the trial limit 10**4, so
+# that a cofactor may be proven, split by rho or rooted
+MIXED_PRIMES = [2, 3, 5, 7, 13, 19, 9949, 9973, 10007, 10009, 10037, 10039]
 # primes = 1 (mod 4) near 1e12
 P, Q = 999999999989, 1000000000061
 
@@ -183,18 +187,22 @@ class TestFactorRecombine:
         assert calls == {"gaussian_factorize": 1}
 
     def test_one_primality_proof_per_prime(self, monkeypatch):
-        # primes below the trial limit leave factorize no cofactor to prove,
-        # so each is_prime call comes from canonical_irreducible
-        x = zeta_p(5) ** 2 * zeta_p(13) ** -1 * zeta_p(9973) * I
-        calls = Counter()
+        # trial division proves the primes below 10**4 without is_prime;
+        # factorize proves each prime above once, and splitting it into
+        # two squares does not prove it again
+        x = zeta_p(5) ** 2 * zeta_p(13) ** -1 * zeta_p(9973) * zeta_p(10009) * zeta_p(P) * I
+        proofs = Counter()
 
         def counted(n, _real=primes.is_prime):
-            calls[n] += 1
-            return _real(n)
+            result = _real(n)
+            if result:
+                proofs[n] += 1
+            return result
 
         monkeypatch.setattr(primes, "is_prime", counted)
-        assert factor_point(x) == BasisFactorization(1, ((5, 2), (13, -1), (9973, 1)))
-        assert calls == {5: 1, 13: 1, 9973: 1}
+        terms = ((5, 2), (13, -1), (9973, 1), (10009, 1), (P, 1))
+        assert factor_point(x) == BasisFactorization(1, terms)
+        assert proofs == {10009: 1, P: 1}
 
     def test_basis_point_near_1e12(self):
         sympy = pytest.importorskip("sympy")
@@ -328,6 +336,25 @@ class TestEnumeration:
             fac = sympy.factorint(c)
             assert all(p % 4 == 1 for p in fac)
             assert count_triples(c) == 2 ** (len(fac) - 1), c
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(MIXED_PRIMES), st.integers(min_value=1, max_value=3)
+            ),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda pe: pe[0],
+        )
+    )
+    def test_count_matches_sympy_on_all_three_classes(self, pes):
+        sympy = pytest.importorskip("sympy")
+        c = math.prod(p**e for p, e in pes)
+        fac = sympy.factorint(c)
+        expected = 2 ** (len(fac) - 1) if all(p % 4 == 1 for p in fac) else 0
+        assert count_triples(c) == expected
+        assert primes.factorize(c) == sorted(fac.items())
 
     def test_count_of_psi_12(self):
         # 399165290221 * 798330580441, both = 1 (mod 4), and a strong
