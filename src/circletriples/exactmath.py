@@ -35,25 +35,6 @@ class GaussianInt:
     def __bool__(self):
         return bool(self.re or self.im)
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = GaussianInt(other)
-        if not isinstance(other, GaussianInt):
-            return NotImplemented
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = GaussianInt(other)
-        if not isinstance(other, GaussianInt):
-            return NotImplemented
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return GaussianInt(-self.re, -self.im)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return GaussianInt(self.re * other, self.im * other)
@@ -98,7 +79,8 @@ class GaussianInt:
         num = self * other.conjugate()
         # nearest integer to x/n for n > 0
         q = GaussianInt((2 * num.re + n) // (2 * n), (2 * num.im + n) // (2 * n))
-        return q, self - q * other
+        qd = q * other
+        return q, GaussianInt(self.re - qd.re, self.im - qd.im)
 
 
 def try_divexact(z: GaussianInt, d: GaussianInt):

@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+import time
 
 import pytest
 
@@ -7,6 +9,7 @@ from circletriples import structure
 from circletriples.circle import NormalizedTriple, point_from_triple, pt
 from circletriples.cli import main
 from circletriples.oracle import MAX_BRUTE_HYPOTENUSE
+from circletriples.primes import primes_below
 from circletriples.structure import BasisFactorization, recombine
 
 
@@ -172,6 +175,18 @@ def test_factoring_refuses_beyond_the_rho_bound(capsys, monkeypatch, json_flag):
         code, out, err = run(capsys, *argv, *json_flag)
         assert (code, out) == (2, ""), argv
         assert "factorize: Pollard rho" in err and "bound of 64 steps" in err, argv
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_triples_refuses_more_than_max_triples_at_once(capsys, json_flag):
+    c = math.prod([p for p in primes_below(300) if p % 4 == 1][:22])  # 2**21 triples
+    start = time.perf_counter()
+    code, out, err = run(capsys, "triples", str(c), *json_flag)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (2, "")
+    assert "2097152 triples exceed the cap MAX_TRIPLES = 1048576" in err
+    assert elapsed < 0.1
+    assert run(capsys, "count", str(c)) == (0, "2097152\n", "")
 
 
 # 20-digit primes: P3A and P3B are 3 (mod 4), P1 is 1 (mod 4)

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from circletriples.structure import (
 )
 
 P1_SMALL = [p for p in primes_below(200) if p % 4 == 1]
+# the first 22 primes = 1 (mod 4), 5 to 293
+P1_FIRST = [p for p in primes_below(300) if p % 4 == 1][:22]
 # 2, and primes 1 and 3 (mod 4) on both sides of the trial limit 10**4, so
 # that a cofactor may be proven, split by rho or rooted
 MIXED_PRIMES = [2, 3, 5, 7, 13, 19, 9949, 9973, 10007, 10009, 10037, 10039]
@@ -360,6 +363,118 @@ class TestEnumeration:
         # 399165290221 * 798330580441, both = 1 (mod 4), and a strong
         # pseudoprime to the first 12 prime bases
         assert count_triples(318665857834031151167461) == 2
+
+
+def reference_triples(c):
+    """pt of the recombined basis powers of every sign pattern on the
+    exponents of c whose first sign is positive, sorted by the short leg."""
+    fac = primes.factorize(c) if c > 1 else []
+    if not fac or any(p % 4 != 1 for p, _ in fac):
+        return []
+    first, rest = fac[0], fac[1:]
+    triples = []
+    for signs in product((1, -1), repeat=len(rest)):
+        terms = (first,) + tuple((p, sign * n) for (p, n), sign in zip(rest, signs))
+        triples.append(pt(recombine(BasisFactorization(0, terms))))
+    return sorted(triples, key=lambda t: t.a)
+
+
+class TestEnumerationSplitsEachPrimeOnce:
+    def test_matches_the_sign_pattern_reference(self):
+        for c in range(1, 3001):
+            assert enumerate_triples(c) == reference_triples(c), c
+        c = math.prod(P1_FIRST[:10])
+        triples = enumerate_triples(c)
+        assert len(triples) == 2**9
+        assert triples == reference_triples(c)
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            5**3 * 13**2 * 101 * 409 * 733 * 997,  # k = 6, all trial primes
+            5 * 10009 * P,  # two primes above the trial limit, separated by rho
+        ],
+    )
+    def test_one_split_and_one_primality_proof_per_prime(self, monkeypatch, c):
+        ps = [p for p, _ in primes.factorize(c)]
+        splits, proofs = Counter(), Counter()
+
+        def split(p, _real=primes._euclid_two_squares):
+            splits[p] += 1
+            return _real(p)
+
+        def prove(n, _real=primes.is_prime):
+            result = _real(n)
+            if result:
+                proofs[n] += 1
+            return result
+
+        # structure imports the split by name; two_squares looks it up in primes
+        monkeypatch.setattr(primes, "_euclid_two_squares", split)
+        monkeypatch.setattr(structure, "_euclid_two_squares", split)
+        monkeypatch.setattr(primes, "is_prime", prove)
+        assert len(enumerate_triples(c)) == 2 ** (len(ps) - 1)
+        assert splits == {p: 1 for p in ps}
+        assert proofs == {p: 1 for p in ps if p > 10**4}
+
+    def test_refuses_more_than_max_triples_before_building_a_point(self, monkeypatch):
+        def no_points(*args):
+            raise AssertionError("a basis power was built")
+
+        monkeypatch.setattr(structure, "_basis_power", no_points)
+        c = math.prod(P1_FIRST)
+        assert count_triples(c) == 2**21 > structure.MAX_TRIPLES == 2**20
+        with pytest.raises(ValueError, match="2097152 triples exceed the cap MAX_TRIPLES = 1048576"):
+            enumerate_triples(c)
+
+    def test_the_cap_itself_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(structure, "MAX_TRIPLES", 4)
+        assert len(enumerate_triples(5 * 13 * 17)) == 4
+        with pytest.raises(ValueError, match="8 triples exceed the cap MAX_TRIPLES = 4"):
+            enumerate_triples(5 * 13 * 17 * 29)
+
+
+# primes = 1 (mod 4) on both sides of the trial limit 10**4, and above 10**6;
+# a hypotenuse takes at most one of the large ones, so that rho only ever
+# separates primes below 10**6
+SMALL_P1 = P1_SMALL + [p for p in primes_below(10**6) if p % 4 == 1][::700]
+LARGE_P1 = [P, Q, 10**19 + 97]
+
+
+@st.composite
+def hypotenuses(draw):
+    """(c, its factorization) for c <= 10**30 with 1 to 6 primes = 1 (mod 4)."""
+    large = draw(st.lists(st.sampled_from(LARGE_P1), max_size=1))
+    small = draw(
+        st.lists(st.sampled_from(SMALL_P1), unique=True, min_size=1 - len(large), max_size=6 - len(large))
+    )
+    fac, c = {}, 1
+    for p in large + small:
+        e = draw(st.integers(1, 3))
+        while e and c * p**e > 10**30:
+            e -= 1
+        if e:
+            fac[p] = e
+            c *= p**e
+    return c, sorted(fac.items())
+
+
+class TestLargeHypotenuses:
+    @settings(max_examples=60, deadline=None)
+    @given(hypotenuses(), st.data())
+    def test_count_enumeration_and_coordinates_agree(self, c_fac, data):
+        c, fac = c_fac
+        assert primes.factorize(c) == fac
+        triples = enumerate_triples(c)
+        assert count_triples(c) == len(triples) == 2 ** (len(fac) - 1)
+        for t in triples:
+            assert t.c == c and t.a**2 + t.b**2 == c**2 and math.gcd(t.a, t.b) == 1
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(fac), max_size=len(fac)))
+        terms = tuple((p, sign * e) for (p, e), sign in zip(fac, signs))
+        f = BasisFactorization(data.draw(st.integers(0, 3)), terms)
+        x = recombine(f)
+        assert x.s.denominator == c
+        assert factor_point(x) == f
 
 
 class TestPowersTable:
