@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Every subcommand accepts --json (one well-formed document on stdout, all
-numeric fields as decimal strings so exactness survives any JSON parser)
-and --seed, which has no effect: it is still accepted so that existing
-calls keep working, but every computation is deterministic. Exit codes:
-0 success, 1 verification mismatch or selftest failure, 2 usage or domain
-error.
+Each _cmd_* handler computes, and returns (payload, text lines) or
+(payload, text lines, exit status). `main` is the one writer of stdout: it
+prints the text lines, or with --json one document {"command", "input",
+"result"} whose numbers are all decimal strings, so that exactness
+survives any JSON parser. --seed is accepted so that existing calls keep
+working, but has no effect: every computation is deterministic. Exit
+codes: 0 success, 1 verification mismatch or selftest failure, 2 usage or
+domain error.
 """
 
 from __future__ import annotations
@@ -35,52 +37,42 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
-def _point_json(x: CirclePoint) -> dict:
-    return {"s": str(x.s), "t": str(x.t)}
+def _json(value):
+    """The --json form of a payload; bools and None stay, numbers turn to str."""
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json(v) for v in value]
+    if isinstance(value, CirclePoint):
+        return {"s": str(value.s), "t": str(value.t)}
+    if isinstance(value, NormalizedTriple):
+        return {"a": str(value.a), "b": str(value.b), "c": str(value.c)}
+    if value is None or isinstance(value, bool):
+        return value
+    return str(value)
 
 
-def _triple_json(t: NormalizedTriple) -> dict:
-    return {"a": str(t.a), "b": str(t.b), "c": str(t.c)}
-
-
-def _emit(args, payload, text_lines):
-    if args.json:
-        doc = {"command": args.command, "input": args.input_echo, "result": payload}
-        print(json.dumps(doc))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     n = structure.count_triples(args.c)
-    _emit(args, str(n), [str(n)])
-    return 0
+    return n, [n]
 
 
-def _cmd_triples(args) -> int:
+def _cmd_triples(args):
     # the oracle first, so that a c beyond its bound is refused at once
     expected = oracle.brute_triples(args.c) if args.verify else None
     triples = structure.enumerate_triples(args.c)
-    status = 0
-    verified = None
-    if args.verify:
-        verified = triples == expected
-        if not verified:
-            print(f"verification failed for c={args.c}", file=sys.stderr)
-            status = 1
-    shown = triples if args.limit is None else triples[: args.limit]
-    payload = {"triples": [_triple_json(t) for t in shown]}
-    if verified is not None:
-        payload["verified"] = verified
-    _emit(args, payload, [str(t) for t in shown])
-    return status
+    shown = triples[: args.limit]
+    if not args.verify:
+        return {"triples": shown}, shown
+    verified = triples == expected
+    if not verified:
+        print(f"verification failed for c={args.c}", file=sys.stderr)
+    return {"triples": shown, "verified": verified}, shown, 0 if verified else 1
 
 
-def _cmd_zeta(args) -> int:
+def _cmd_zeta(args):
     x = structure.zeta_p(args.p)
-    _emit(args, _point_json(x), [str(x)])
-    return 0
+    return x, [x]
 
 
 def _refuse_unprintable(command: str, p: int, k: int) -> None:
@@ -98,61 +90,40 @@ def _refuse_unprintable(command: str, p: int, k: int) -> None:
         )
 
 
-def _cmd_pow(args) -> int:
+def _cmd_pow(args):
     _refuse_unprintable("pow", args.p, abs(args.n))
     x = structure.zeta_power(args.p, args.n)
-    if circle.is_unit(x):
-        _emit(args, {"point": _point_json(x), "triple": None}, [str(x), "unit"])
-    else:
-        t = circle.pt(x)
-        _emit(args, {"point": _point_json(x), "triple": _triple_json(t)}, [str(x), str(t)])
-    return 0
+    t = None if circle.is_unit(x) else circle.pt(x)
+    return {"point": x, "triple": t}, [x, "unit" if t is None else t]
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     seed = NormalizedTriple(3, 4, 5)
     _refuse_unprintable("table", seed.c, args.n_max)
     rows = structure.powers_table(seed, args.n_max)
-    payload = []
-    lines = []
-    for n, x, t in rows:
-        payload.append(
-            {"n": str(n), "point": _point_json(x), "triple": None if t is None else _triple_json(t)}
-        )
-        lines.append(f"{n} {x} {t if t is not None else 'unit'}")
-    _emit(args, payload, lines)
-    return 0
+    payload = [{"n": n, "point": x, "triple": t} for n, x, t in rows]
+    return payload, (f"{n} {x} {'unit' if t is None else t}" for n, x, t in rows)
 
 
-def _cmd_factor_point(args) -> int:
-    x = CirclePoint(args.s, args.t)
-    f = structure.factor_point(x)
-    payload = {
-        "unit_exp": str(f.unit_exp),
-        "terms": [{"p": str(p), "e": str(e)} for p, e in f.terms],
-    }
-    lines = [f"unit i^{f.unit_exp}"] + [f"{p} {e}" for p, e in f.terms]
-    _emit(args, payload, lines)
-    return 0
+def _cmd_factor_point(args):
+    f = structure.factor_point(CirclePoint(args.s, args.t))
+    payload = {"unit_exp": f.unit_exp, "terms": [{"p": p, "e": e} for p, e in f.terms]}
+    return payload, [f"unit i^{f.unit_exp}"] + [f"{p} {e}" for p, e in f.terms]
 
 
-def _cmd_project(args) -> int:
-    x = CirclePoint(args.s, args.t)
-    r = circle.stereo_project(x)
-    _emit(args, str(r), [str(r)])
-    return 0
+def _cmd_project(args):
+    r = circle.stereo_project(CirclePoint(args.s, args.t))
+    return r, [r]
 
 
-def _cmd_unproject(args) -> int:
+def _cmd_unproject(args):
     x = circle.stereo_unproject(args.r)
-    _emit(args, _point_json(x), [str(x)])
-    return 0
+    return x, [x]
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     triples = oracle.brute_triples(args.c)
-    _emit(args, [_triple_json(t) for t in triples], [str(t) for t in triples])
-    return 0
+    return triples, triples
 
 
 def _require(ok: bool, what) -> None:
@@ -161,8 +132,7 @@ def _require(ok: bool, what) -> None:
         raise AssertionError(what)
 
 
-def _selftest_checks():
-    from fractions import Fraction as F
+def _cmd_selftest(args):
     from random import Random
 
     def enumeration_matches_oracle():
@@ -187,7 +157,7 @@ def _selftest_checks():
     def projection_roundtrip():
         rng = Random(11)
         for _ in range(200):
-            r = F(rng.randint(-500, 500), rng.randint(1, 500))
+            r = Fraction(rng.randint(-500, 500), rng.randint(1, 500))
             _require(circle.stereo_project(circle.stereo_unproject(r)) == r, r)
 
     def orbits_have_size_8():
@@ -195,34 +165,23 @@ def _selftest_checks():
             if not circle.is_unit(x):
                 _require(len(circle.gamma_orbit(x)) == 8, x)
 
-    return [
+    results, lines = [], []
+    for check in (
         enumeration_matches_oracle,
         two_squares_matches_search,
         factorization_roundtrip,
         projection_roundtrip,
         orbits_have_size_8,
-    ]
-
-
-def _cmd_selftest(args) -> int:
-    results = []
-    failed = False
-    for check in _selftest_checks():
+    ):
         name = check.__name__
         try:
             check()
+            ok, line = True, f"ok {name}"
         except AssertionError as exc:
-            failed = True
-            results.append({"check": name, "ok": False})
-            if not args.json:
-                print(f"FAIL {name}: {exc}")
-        else:
-            results.append({"check": name, "ok": True})
-            if not args.json:
-                print(f"ok {name}")
-    if args.json:
-        _emit(args, results, [])
-    return 1 if failed else 0
+            ok, line = False, f"FAIL {name}: {exc}"
+        results.append({"check": name, "ok": ok})
+        lines.append(line)
+    return results, lines, 0 if all(r["ok"] for r in results) else 1
 
 
 def _positive_int(text: str) -> int:
@@ -313,16 +272,22 @@ def main(argv=None) -> int:
         args, extra = _add_command(parser, argv[0]).parse_known_args(argv[1:])
     if args is None or extra:
         args = build_parser().parse_args(argv)
-    args.input_echo = {
-        k: str(v)
-        for k, v in vars(args).items()
-        if k not in ("command", "func", "json", "seed", "input_echo") and v is not None
-    }
     try:
-        return args.func(args)
+        payload, lines, *status = args.func(args)
+        if args.json:
+            echo = {
+                k: str(v)
+                for k, v in vars(args).items()
+                if k not in ("command", "func", "json", "seed") and v is not None
+            }
+            print(json.dumps({"command": args.command, "input": echo, "result": _json(payload)}))
+        else:
+            for line in lines:
+                print(line)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return status[0] if status else 0
 
 
 def entry() -> None:

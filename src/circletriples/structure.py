@@ -25,7 +25,7 @@ from .circle import (
     point_from_triple,
 )
 from .exactmath import GaussianInt, try_divexact
-from .primes import PrimeClass, _euclid_two_squares, classify, factorize, two_squares
+from .primes import PrimeClass, _euclid_two_squares, classify, factorize
 
 
 @dataclass(frozen=True)
@@ -126,21 +126,22 @@ def zeta_p(p: int) -> CirclePoint:
 
     With p = m**2 + n**2 this is ((m**2 - n**2)/p, 2mn/p).
     """
-    cls = classify(p)
-    if cls is not PrimeClass.P1:
-        raise ValueError(f"{p} is in class {cls.name}; basis points need p = 1 (mod 4)")
     return zeta_power(p, 1)
 
 
 def zeta_power(p: int, e: int) -> CirclePoint:
     """zeta_p(p) ** e, computed in Z[i] as q**(2e) / p**e.
 
+    Refuses a p that is not a prime = 1 (mod 4) for every e, 0 included.
     Keeps all intermediates integral; equality with the rational-arithmetic
     power is enforced in the test suite.
     """
+    cls = classify(p)
+    if cls is not PrimeClass.P1:
+        raise ValueError(f"{p} is in class {cls.name}; basis points need p = 1 (mod 4)")
     if e == 0:
         return UNIT_POINTS[0]
-    m, n = two_squares(p)
+    m, n = _euclid_two_squares(p)  # classify has proven p prime
     return _basis_power(GaussianInt(m, n if e > 0 else -n), p, abs(e))
 
 

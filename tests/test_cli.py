@@ -88,6 +88,12 @@ def test_pow_zero_is_a_unit(capsys):
     assert out.splitlines() == ["1 0", "unit"]
 
 
+@pytest.mark.parametrize("p", ["4", "3", "2"])
+def test_pow_zero_still_needs_a_prime_1_mod_4(capsys, p):
+    code, out, err = run(capsys, "pow", p, "0")
+    assert (code, out) == (2, "") and err.startswith(f"error: {p} is ")
+
+
 def test_table(capsys):
     code, out, _ = run(capsys, "table", "4")
     assert code == 0
@@ -290,9 +296,51 @@ def test_selftest(capsys):
     assert all(line.startswith("ok ") for line in out.splitlines())
 
 
-def test_selftest_fails_on_a_broken_enumerator(capsys, monkeypatch):
+def test_selftest_failure_on_a_broken_enumerator_survives_optimization(capsys, monkeypatch):
     # the checks raise explicitly, so this holds under python -O as well
     monkeypatch.setattr("circletriples.structure.enumerate_triples", lambda c: [])
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert out.startswith("FAIL enumeration_matches_oracle: 5\n")
+    code, out, _ = run(capsys, "selftest", "--json")
+    assert code == 1
+    assert {r["check"]: r["ok"] for r in json.loads(out)["result"]} == {
+        "enumeration_matches_oracle": False,
+        "two_squares_matches_search": True,
+        "factorization_roundtrip": True,
+        "projection_roundtrip": True,
+        "orbits_have_size_8": True,
+    }
+
+
+def json_leaves(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [leaf for item in doc for leaf in json_leaves(item)]
+    return [doc]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "65"],
+        ["triples", "65", "--verify"],
+        ["zeta", "13"],
+        ["pow", "5", "0"],
+        ["pow", "5", "-2"],
+        ["table", "4"],
+        ["factor-point", "--", "-3/5", "4/5"],
+        ["project", "3/5", "4/5"],
+        ["unproject", "-1/2"],
+        ["oracle", "65"],
+        ["selftest"],
+    ],
+    ids=" ".join,
+)
+def test_every_json_leaf_is_a_string_a_bool_or_null(capsys, argv):
+    # decimal strings, never numbers, so exactness survives any parser
+    code, out, err = run(capsys, argv[0], "--json", *argv[1:])
+    assert (code, err) == (0, "")
+    leaves = json_leaves(json.loads(out)["result"])
+    assert leaves and all(v is None or isinstance(v, (str, bool)) for v in leaves)

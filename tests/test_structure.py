@@ -127,6 +127,22 @@ class TestZetaP:
         with pytest.raises(ValueError):
             zeta_p(2)
 
+    @pytest.mark.parametrize("p", [4, 3, 2])
+    def test_zeroth_power_still_needs_a_prime_1_mod_4(self, p):
+        with pytest.raises(ValueError):
+            zeta_power(p, 0)
+
+    def test_one_primality_proof(self, monkeypatch):
+        calls = Counter()
+
+        def counting(n, _real=primes.is_prime):
+            calls[n] += 1
+            return _real(n)
+
+        monkeypatch.setattr(primes, "is_prime", counting)
+        assert pt(zeta_p(999999999989)).c == 999999999989
+        assert calls == {999999999989: 1}
+
     def test_basis_points_encode_their_prime(self):
         for p in [q for q in primes_below(10000) if q % 4 == 1]:
             x = zeta_p(p)
