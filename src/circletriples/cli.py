@@ -3,11 +3,11 @@
 Each _cmd_* handler computes, and returns (payload, text lines) or
 (payload, text lines, exit status). `main` is the one writer of stdout: it
 prints the text lines, or with --json one document {"command", "input",
-"result"} whose numbers are all decimal strings, so that exactness
-survives any JSON parser. --seed is accepted so that existing calls keep
-working, but has no effect: every computation is deterministic. Exit
-codes: 0 success, 1 verification mismatch or selftest failure, 2 usage or
-domain error.
+"result"} whose flags are booleans and whose numbers are all decimal
+strings, so that exactness survives any JSON parser. --seed is accepted
+so that existing calls keep working, but has no effect: every
+computation is deterministic. Exit codes: 0 success, 1 verification
+mismatch or selftest failure, 2 usage or domain error.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _cmd_table(args):
     _refuse_unprintable("table", seed.c, args.n_max)
     rows = structure.powers_table(seed, args.n_max)
     payload = [{"n": n, "point": x, "triple": t} for n, x, t in rows]
-    return payload, (f"{n} {x} {'unit' if t is None else t}" for n, x, t in rows)
+    return payload, (f"{n} {x} {t}" for n, x, t in rows)
 
 
 def _cmd_factor_point(args):
@@ -137,8 +137,9 @@ def _cmd_selftest(args):
 
     def enumeration_matches_oracle():
         for c in range(1, 301):
-            _require(structure.enumerate_triples(c) == oracle.brute_triples(c), c)
-            _require(structure.count_triples(c) == len(oracle.brute_triples(c)), c)
+            expected = oracle.brute_triples(c)
+            _require(structure.enumerate_triples(c) == expected, c)
+            _require(structure.count_triples(c) == len(expected), c)
 
     def two_squares_matches_search():
         for p in primes.primes_below(2000):
@@ -276,11 +277,11 @@ def main(argv=None) -> int:
         payload, lines, *status = args.func(args)
         if args.json:
             echo = {
-                k: str(v)
+                k: v
                 for k, v in vars(args).items()
                 if k not in ("command", "func", "json", "seed") and v is not None
             }
-            print(json.dumps({"command": args.command, "input": echo, "result": _json(payload)}))
+            print(json.dumps(_json({"command": args.command, "input": echo, "result": payload})))
         else:
             for line in lines:
                 print(line)

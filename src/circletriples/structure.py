@@ -20,7 +20,6 @@ from .circle import (
     CirclePoint,
     NormalizedTriple,
     UNIT_POINTS,
-    is_unit,
     pt,
     point_from_triple,
 )
@@ -141,8 +140,8 @@ def zeta_power(p: int, e: int) -> CirclePoint:
         raise ValueError(f"{p} is in class {cls.name}; basis points need p = 1 (mod 4)")
     if e == 0:
         return UNIT_POINTS[0]
-    m, n = _euclid_two_squares(p)  # classify has proven p prime
-    return _basis_power(GaussianInt(m, n if e > 0 else -n), p, abs(e))
+    q = _irreducible_above(p)  # classify has proven p prime
+    return _basis_power(q if e > 0 else q.conjugate(), p, abs(e))
 
 
 def _basis_power(q: GaussianInt, p: int, n: int) -> CirclePoint:
@@ -255,10 +254,10 @@ def enumerate_triples(c: int) -> list[NormalizedTriple]:
 
 def powers_table(
     seed: NormalizedTriple, n_max: int
-) -> list[tuple[int, CirclePoint, Optional[NormalizedTriple]]]:
-    """Rows (n, x**n, triple) for the point x encoding the seed triple.
+) -> list[tuple[int, CirclePoint, NormalizedTriple]]:
+    """Rows (n, x**n, pt(x**n)) for the point x encoding the seed triple.
 
-    The triple entry is None on rows where the power happens to be a unit.
+    No row is a unit, as the units are the whole torsion and x is not one.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -267,5 +266,5 @@ def powers_table(
     x = UNIT_POINTS[0]
     for n in range(1, n_max + 1):
         x = x * base
-        rows.append((n, x, None if is_unit(x) else pt(x)))
+        rows.append((n, x, pt(x)))
     return rows

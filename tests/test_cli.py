@@ -67,6 +67,13 @@ def test_triples_json_roundtrip(capsys):
     assert all(isinstance(v, str) for t in triples for v in t.values())
 
 
+@pytest.mark.parametrize("flags", [[], ["--verify"]])
+def test_json_input_echo_carries_flags_as_booleans(capsys, flags):
+    code, out, _ = run(capsys, "triples", "65", *flags, "--json")
+    assert code == 0
+    assert json.loads(out)["input"] == {"c": "65", "verify": bool(flags)}
+
+
 def test_zeta(capsys):
     assert run(capsys, "zeta", "17") == (0, "-15/17 8/17\n", "")
 

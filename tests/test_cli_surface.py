@@ -311,7 +311,7 @@ CALLS = {
     ("triples", "65", "--ver", "--js"): (
         0,
         (
-            '{"command": "triples", "input": {"c": "65", "verify": "True"}, "result": {"triples": [{"a": "16", "b": "63", "c": "65"}, {"a": "33", "b": "56", "c": "65"}], "verified": true}}\n'
+            '{"command": "triples", "input": {"c": "65", "verify": true}, "result": {"triples": [{"a": "16", "b": "63", "c": "65"}, {"a": "33", "b": "56", "c": "65"}], "verified": true}}\n'
         ),
         "",
     ),
@@ -328,7 +328,7 @@ CALLS = {
     ("triples", "65", "--verify", "--limit", "1", "--json"): (
         0,
         (
-            '{"command": "triples", "input": {"c": "65", "verify": "True", "limit": "1"}, "result": {"triples": [{"a": "16", "b": "63", "c": "65"}], "verified": true}}\n'
+            '{"command": "triples", "input": {"c": "65", "verify": true, "limit": "1"}, "result": {"triples": [{"a": "16", "b": "63", "c": "65"}], "verified": true}}\n'
         ),
         "",
     ),

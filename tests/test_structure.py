@@ -503,11 +503,11 @@ class TestPowersTable:
             (4, "-527/625 -336/625", (336, 527, 625)),
         ]
 
-    def test_unit_rows_are_flagged(self):
-        # seed the table with a basis point power that revisits no unit,
-        # then check the flag logic directly on a unit-seeded variant
-        rows = powers_table(NormalizedTriple(3, 4, 5), 2)
-        assert all(t is not None for _, _, t in rows)
+    def test_no_row_is_a_unit(self):
+        # the units are the whole torsion, so every power of the point has a triple
+        rows = powers_table(NormalizedTriple(3, 4, 5), 12)
+        assert not any(is_unit(x) for _, x, _ in rows)
+        assert [t.c for _, _, t in rows] == [5**n for n in range(1, 13)]
 
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError):
