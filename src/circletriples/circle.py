@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactmath import GaussianInt
+
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
@@ -46,15 +48,15 @@ class CirclePoint:
     inverse = conjugate
 
     def __pow__(self, e: int) -> "CirclePoint":
-        base = self if e >= 0 else self.inverse()
-        e = abs(e)
-        result = ONE
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        """(a + b*i)**|e| / c**|e| in Z[i], with b negated for e < 0.
+
+        s = a/c and t = b/c in lowest terms share c: if s = a/m and t = b/n,
+        then a**2 n**2 + b**2 m**2 = m**2 n**2, so m**2 divides a**2 n**2,
+        hence m divides n, and likewise n divides m.
+        """
+        b = self.t.numerator if e >= 0 else -self.t.numerator
+        w, den = GaussianInt(self.s.numerator, b) ** abs(e), self.s.denominator ** abs(e)
+        return CirclePoint(Fraction(w.re, den), Fraction(w.im, den))
 
     def __str__(self):
         return f"{self.s} {self.t}"
@@ -89,7 +91,11 @@ class GammaElement:
         return y.conjugate() if self.conj else y
 
     def compose(self, other: "GammaElement") -> "GammaElement":
-        """The symmetry 'apply other, then self'."""
+        """The symmetry 'apply other, then self'.
+
+        No package code calls it; it stays because the benchmark's tracer
+        (perfbench/tracer.py) wraps GammaElement.compose by name.
+        """
         rot = other.rot + (-self.rot if other.conj else self.rot)
         return GammaElement(rot % 4, self.conj ^ other.conj)
 
@@ -121,10 +127,9 @@ class NormalizedTriple:
             )
         if a * a + b * b != c * c:
             raise ValueError(f"({a}, {b}, {c}) is not a Pythagorean triple")
+        # an even c would force a and b even, so this also refuses it
         if math.gcd(a, b, c) != 1:
             raise ValueError(f"({a}, {b}, {c}) has a common factor")
-        if c % 2 == 0:
-            raise ValueError(f"hypotenuse {c} is even, impossible when gcd is 1")
 
     def __str__(self):
         return f"{self.a} {self.b} {self.c}"
@@ -137,7 +142,7 @@ def to_second_octant(x: CirclePoint) -> tuple[CirclePoint, GammaElement]:
     so for any non-unit point exactly one of the eight images qualifies.
     """
     if is_unit(x):
-        raise ValueError("units have no second-octant representative")
+        raise ValueError("1, i, -1, -i have no second-octant image and encode no triple")
     hits = [(g.apply(x), g) for g in GAMMA_ELEMENTS]
     hits = [(y, g) for y, g in hits if 0 < y.s < y.t]
     if len(hits) != 1:
@@ -147,9 +152,7 @@ def to_second_octant(x: CirclePoint) -> tuple[CirclePoint, GammaElement]:
 
 def pt(x: CirclePoint) -> NormalizedTriple:
     """The normalized triple encoded by a non-unit rational circle point."""
-    if is_unit(x):
-        raise ValueError("1, i, -1, -i do not encode a triple")
-    y, _ = to_second_octant(x)
+    y, _ = to_second_octant(x)  # refuses the units
     c = y.s.denominator
     if y.t.denominator != c:
         raise ArithmeticError(f"pt({x}): the coordinates of {y} have different denominators")

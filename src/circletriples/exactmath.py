@@ -4,7 +4,8 @@ Gaussian integers (elements m + n*i of Z[i]) get their own small class; the
 stdlib has nothing exact for them. The package divides only exactly, with
 try_divexact. Division with remainder (divmod) rounds the quotient
 coordinates to nearest, so the remainder's norm is at most half the
-divisor's.
+divisor's. No package code calls divmod; it stays because the benchmark's
+tracer (perfbench/tracer.py) wraps GaussianInt.__divmod__ by name.
 """
 
 from __future__ import annotations

@@ -129,26 +129,20 @@ def zeta_p(p: int) -> CirclePoint:
 
 
 def zeta_power(p: int, e: int) -> CirclePoint:
-    """zeta_p(p) ** e, computed in Z[i] as q**(2e) / p**e.
+    """zeta_p(p) ** e.
 
     Refuses a p that is not a prime = 1 (mod 4) for every e, 0 included.
-    Keeps all intermediates integral; equality with the rational-arithmetic
-    power is enforced in the test suite.
     """
     cls = classify(p)
     if cls is not PrimeClass.P1:
         raise ValueError(f"{p} is in class {cls.name}; basis points need p = 1 (mod 4)")
-    if e == 0:
-        return UNIT_POINTS[0]
-    q = _irreducible_above(p)  # classify has proven p prime
-    return _basis_power(q if e > 0 else q.conjugate(), p, abs(e))
+    return _zeta(p) ** e  # classify has proven p prime
 
 
-def _basis_power(q: GaussianInt, p: int, n: int) -> CirclePoint:
-    """(q / conj(q)) ** n = q**(2n) / p**n for q of norm p and n >= 1."""
-    w = q ** (2 * n)
-    den = p**n
-    return CirclePoint(Fraction(w.re, den), Fraction(w.im, den))
+def _zeta(p: int) -> CirclePoint:
+    """The basis point q / conj(q) = q**2 / p for a p = 1 (mod 4) proven prime."""
+    w = _irreducible_above(p) ** 2
+    return CirclePoint(Fraction(w.re, p), Fraction(w.im, p))
 
 
 def recombine(f: BasisFactorization) -> CirclePoint:
@@ -194,7 +188,9 @@ def hypotenuse_of(f: BasisFactorization) -> int:
 
 
 def _splittable(c: int) -> Optional[list[tuple[int, int]]]:
-    """Factorization of c if every prime factor is 1 (mod 4), else None."""
+    """Factorization of c > 0 if every prime factor is 1 (mod 4), else None."""
+    if c <= 0:
+        raise ValueError("hypotenuse must be positive")
     if c == 1:
         return None
     return factorize(c, only_1_mod_4=True)
@@ -208,8 +204,6 @@ def count_triples(c: int) -> int:
     prime 3 (mod 4) or a cofactor that is 3 (mod 4), without factoring the
     rest; c = p*q with p, q both 3 (mod 4) still needs the split of p*q.
     """
-    if c <= 0:
-        raise ValueError("hypotenuse must be positive")
     fac = _splittable(c)
     if fac is None:
         return 0
@@ -226,8 +220,6 @@ def enumerate_triples(c: int) -> list[NormalizedTriple]:
     Refuses with ValueError, before building any point, when there would be
     more than MAX_TRIPLES triples.
     """
-    if c <= 0:
-        raise ValueError("hypotenuse must be positive")
     fac = _splittable(c)
     if fac is None:
         return []
@@ -238,7 +230,7 @@ def enumerate_triples(c: int) -> list[NormalizedTriple]:
             f" MAX_TRIPLES = {MAX_TRIPLES}"
         )
     # factorize has proven every p prime
-    base, *rest = (_basis_power(_irreducible_above(p), p, n) for p, n in fac)
+    base, *rest = (_zeta(p) ** n for p, n in fac)
     triples = []
     for choice in product(*((x, x.conjugate()) for x in rest)):
         x = base

@@ -168,8 +168,11 @@ def test_oracle(capsys):
 def test_oracle_refuses_beyond_its_bound(capsys, argv):
     # 0.92 * sqrt(c) gaps: hours of scanning at 10^20, so a refusal must come at once
     for c in (MAX_BRUTE_HYPOTENUSE + 1, 10**20 + 1):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv, str(c))
+        elapsed = time.perf_counter() - start
         assert (code, out) == (2, "")
+        assert elapsed < 0.1, c
         assert "brute oracle" in err and str(MAX_BRUTE_HYPOTENUSE) in err
 
 
@@ -273,8 +276,11 @@ def test_pow_and_table_refuse_beyond_the_digit_limit(capsys, monkeypatch, defaul
     ]
     for argv in calls:
         for json_flag in ([], ["--json"]):
+            start = time.perf_counter()
             code, out, err = run(capsys, *argv, *json_flag)
+            elapsed = time.perf_counter() - start
             assert (code, out) == (2, ""), argv
+            assert elapsed < 0.1, argv
             assert err.startswith(f"error: {argv[0]}: ") and "4300 decimal digits" in err, argv
     monkeypatch.undo()
     sys.set_int_max_str_digits(0)  # no limit, so no refusal
