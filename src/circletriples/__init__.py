@@ -17,7 +17,6 @@ from .oracle import brute_rational_points, brute_triples
 from .primes import PrimeClass, classify, factorize, is_prime, two_squares
 from .structure import (
     BasisFactorization,
-    canonical_irreducible,
     count_triples,
     enumerate_triples,
     factor_point,

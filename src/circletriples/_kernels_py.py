@@ -31,15 +31,3 @@ def triples_scan(c: int) -> list[tuple[int, int]]:
                 out.append((a, c - d))
     out.sort()
     return out
-
-
-def two_squares_scan(p: int):
-    """The (m, n) with 0 < m < n and m^2 + n^2 = p, by exhaustive search."""
-    m = 1
-    while 2 * m * m < p:
-        r = p - m * m
-        n = isqrt(r)
-        if n * n == r:
-            return (m, n)
-        m += 1
-    return None

@@ -100,7 +100,7 @@ class GammaElement:
         return GammaElement(rot % 4, self.conj ^ other.conj)
 
 
-GAMMA_IDENTITY = GammaElement(0, False)
+#: the eight symmetries, the identity GammaElement(0, False) first
 GAMMA_ELEMENTS = tuple(
     GammaElement(r, c) for c in (False, True) for r in (0, 1, 2, 3)
 )
@@ -167,7 +167,10 @@ def stereo_project(x: CirclePoint) -> Fraction:
     """Stereographic projection with focus i: x maps to s / (1 - t)."""
     if x == I:
         raise ValueError("the focus i has no projection")
-    return x.s / (1 - x.t)
+    r = x.s / (1 - x.t)
+    if stereo_unproject(r) != x:
+        raise ArithmeticError(f"stereo_project({x}): {r} unprojects to another point")
+    return r
 
 
 def stereo_unproject(r) -> CirclePoint:

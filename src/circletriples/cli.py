@@ -79,7 +79,8 @@ def _refuse_unprintable(command: str, p: int, k: int) -> None:
     """Refuse p**k, the longest integer `command` prints, before computing
     anything, when it has more digits than Python converts to text.
     """
-    limit = sys.get_int_max_str_digits()  # 0: no limit
+    # 0, or a Python older than 3.10.7 without the function: no limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # p**k has about k*log10(p) + 1 digits; the float decides it unless it
     # lies within 1 of the limit, where p**k costs little to compare exactly
     digits = k * math.log10(p)

@@ -4,8 +4,9 @@ Gaussian integers (elements m + n*i of Z[i]) get their own small class; the
 stdlib has nothing exact for them. The package divides only exactly, with
 try_divexact. Division with remainder (divmod) rounds the quotient
 coordinates to nearest, so the remainder's norm is at most half the
-divisor's. No package code calls divmod; it stays because the benchmark's
-tracer (perfbench/tracer.py) wraps GaussianInt.__divmod__ by name.
+divisor's. Operands are GaussianInts only, so that equal values hash
+equal. No package code calls divmod, and no product reaches __rmul__; both
+stay because the benchmark's tracer (perfbench/tracer.py) wraps them by name.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ class GaussianInt:
         return f"GaussianInt({self.re}, {self.im})"
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = GaussianInt(other)
         if not isinstance(other, GaussianInt):
             return NotImplemented
         return self.re == other.re and self.im == other.im
@@ -37,8 +36,6 @@ class GaussianInt:
         return bool(self.re or self.im)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
         if not isinstance(other, GaussianInt):
             return NotImplemented
         return GaussianInt(
@@ -72,8 +69,8 @@ class GaussianInt:
 
         Guarantees norm(remainder) <= norm(other) / 2.
         """
-        if isinstance(other, int):
-            other = GaussianInt(other)
+        if not isinstance(other, GaussianInt):
+            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero in Z[i]")
         n = other.norm()

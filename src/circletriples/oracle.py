@@ -10,8 +10,11 @@ That is about 0.92 * sqrt(c) gaps, which bounds the c it can finish.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import isqrt
+
 from . import _kernels_py
-from .circle import CirclePoint, NormalizedTriple, UNIT_POINTS, gamma_orbit, point_from_triple
+from .circle import CirclePoint, NormalizedTriple, UNIT_POINTS
 
 # Largest hypotenuse brute_triples scans: about 2.9 million gaps, 1.6-1.8 s
 # on a 2.0 GHz Xeon with Python 3.11.
@@ -32,16 +35,23 @@ def exhaustive_two_squares(p: int):
     """(m, n) with 0 < m < n, m^2 + n^2 = p, or None; by exhaustive scan."""
     if p <= 0:
         raise ValueError("expected a positive integer")
-    return _kernels_py.two_squares_scan(p)
+    for m in range(1, isqrt((p - 1) // 2) + 1):  # 2m^2 < p, so m < n
+        n = isqrt(p - m * m)
+        if m * m + n * n == p:
+            return (m, n)
+    return None
 
 
 def brute_rational_points(c_max: int) -> list[CirclePoint]:
     """The four units plus the full symmetry orbits of all triples with
-    hypotenuse <= c_max. A ready-made finite test corpus for group laws."""
+    hypotenuse <= c_max. A ready-made finite test corpus for group laws, which
+    it does not use: each orbit is listed as (+-a/c, +-b/c) and (+-b/c, +-a/c)."""
     if c_max < 2:
         raise ValueError("c_max must be at least 2")
     points: set[CirclePoint] = set(UNIT_POINTS)
     for c in range(5, c_max + 1, 2):
         for t in brute_triples(c):
-            points |= gamma_orbit(point_from_triple(t))
+            for u, v in ((t.a, t.b), (t.b, t.a)):
+                for su, sv in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    points.add(CirclePoint(Fraction(su * u, c), Fraction(sv * v, c)))
     return sorted(points, key=lambda x: (x.s, x.t))

@@ -66,18 +66,9 @@ MAX_TRIPLES = 2**20
 _UNIT_EXP = {(1, 0): 0, (0, 1): 1, (-1, 0): 2, (0, -1): 3}
 
 
-def canonical_irreducible(p: int) -> GaussianInt:
-    """The canonical irreducible of Z[i] above the prime p.
-
-    For p = 1 (mod 4) this is m + n*i with 0 < m < n; for 2 it is 1 + i;
-    for p = 3 (mod 4) the prime itself stays irreducible.
-    """
-    classify(p)  # proves p prime, or raises ValueError
-    return _irreducible_above(p)
-
-
 def _irreducible_above(p: int) -> GaussianInt:
-    """canonical_irreducible for a p already proven prime."""
+    """The canonical irreducible above a p proven prime: m + n*i with
+    0 < m < n for p = 1 (mod 4), 1 + i for 2, p itself for p = 3 (mod 4)."""
     if p % 4 == 1:
         return GaussianInt(*_euclid_two_squares(p))
     return GaussianInt(1, 1) if p == 2 else GaussianInt(p)
@@ -218,7 +209,8 @@ def enumerate_triples(c: int) -> list[NormalizedTriple]:
     conjugation orbit. Each prime p**n of c is split once, into the table
     entry (zeta_p**n, zeta_p**-n); every pattern multiplies table entries.
     Refuses with ValueError, before building any point, when there would be
-    more than MAX_TRIPLES triples.
+    more than MAX_TRIPLES triples. The checks certify the list: 2**(k-1)
+    pairwise distinct triples, each with hypotenuse c, are all of them.
     """
     fac = _splittable(c)
     if fac is None:
@@ -241,6 +233,8 @@ def enumerate_triples(c: int) -> list[NormalizedTriple]:
     wrong = [t for t in triples if t.c != c]
     if wrong:
         raise ArithmeticError(f"enumerate_triples({c}): {wrong[0]} has another hypotenuse")
+    if len(set(triples)) != n_triples:
+        raise ArithmeticError(f"enumerate_triples({c}): a triple appears more than once")
     return triples
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from circletriples.circle import (
     GAMMA_ELEMENTS,
-    GAMMA_IDENTITY,
     I,
     MINUS_I,
     MINUS_ONE,
@@ -138,7 +137,7 @@ class TestSecondOctant:
     def test_fixed_point(self):
         y, g = to_second_octant(P("3/5", "4/5"))
         assert y == P("3/5", "4/5")
-        assert g == GAMMA_IDENTITY
+        assert g == GAMMA_ELEMENTS[0] == GammaElement(0, False)
 
     def test_rejects_units(self):
         with pytest.raises(ValueError):
@@ -201,6 +200,11 @@ class TestStereographic:
     def test_focus_has_no_projection(self):
         with pytest.raises(ValueError):
             stereo_project(I)
+
+    def test_inverse_certificate_survives_optimization(self, monkeypatch):
+        monkeypatch.setattr("circletriples.circle.stereo_unproject", lambda r: ONE)
+        with pytest.raises(ArithmeticError, match="unprojects to another point"):
+            stereo_project(P("3/5", "4/5"))
 
     @given(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4))
     def test_project_after_unproject(self, r):

@@ -288,6 +288,13 @@ def test_pow_and_table_refuse_beyond_the_digit_limit(capsys, monkeypatch, defaul
     assert code == 0 and out.split()[-1] == str(5**6152)
 
 
+def test_pow_and_table_run_without_a_digit_limit_function(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 has no sys.get_int_max_str_digits; that means no limit
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run(capsys, "pow", "5", "3") == (0, "117/125 44/125\n44 117 125\n", "")
+    assert run(capsys, "table", "2") == (0, "1 3/5 4/5 3 4 5\n2 -7/25 24/25 7 24 25\n", "")
+
+
 def test_seed_flag_changes_nothing(capsys):
     _, base, _ = run(capsys, "zeta", "13")
     for seed in ("0", "1", "18446744073709551615"):

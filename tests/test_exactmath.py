@@ -62,6 +62,16 @@ class TestGaussianInt:
     def test_divexact_rejects_nondivisor(self):
         assert try_divexact(GaussianInt(3), GaussianInt(1, 2)) is None
 
+    def test_operands_are_gaussian_only(self):
+        # an int equal to GaussianInt(5) would have to share its hash
+        assert GaussianInt(5) != 5 and 5 != GaussianInt(5)
+        assert GaussianInt(5, -2) == GaussianInt(5, -2)
+        assert hash(GaussianInt(5, -2)) == hash(GaussianInt(5, -2))
+        with pytest.raises(TypeError):
+            GaussianInt(1, 2) * 3
+        with pytest.raises(TypeError):
+            divmod(GaussianInt(5), 2)
+
     def test_pow(self):
         assert GaussianInt(1, 2) ** 4 == GaussianInt(-7, -24)
         assert GaussianInt(1, 2) ** 0 == GaussianInt(1)

@@ -1,11 +1,13 @@
 import ast
 import math
+from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from circletriples import _kernels_py, oracle
-from circletriples.circle import NormalizedTriple
+from circletriples import _kernels_py, oracle, structure
+from circletriples.circle import CirclePoint, NormalizedTriple, gamma_orbit, is_unit
 
 
 def test_brute_examples():
@@ -45,6 +47,58 @@ def test_point_corpus_counts():
 def test_point_corpus_is_duplicate_free():
     pts = oracle.brute_rational_points(100)
     assert len(pts) == len(set(pts))
+
+
+def test_gamma_orbit_is_the_eight_signed_and_swapped_points():
+    for x in oracle.brute_rational_points(300):
+        if is_unit(x):
+            continue
+        a, b, c = abs(x.s.numerator), abs(x.t.numerator), x.s.denominator
+        expected = {
+            CirclePoint(Fraction(i * u, c), Fraction(j * v, c))
+            for u, v in ((a, b), (b, a))
+            for i in (1, -1)
+            for j in (1, -1)
+        }
+        assert gamma_orbit(x) == expected, x
+
+
+def barning_hall(n):
+    """Every primitive triple with c <= n, as sorted leg pairs keyed by c.
+
+    Walks the ternary tree of Barning (1963) and Hall (1970) from (3, 4, 5).
+    Each of its three integer matrices maps a primitive triple to one with a
+    larger hypotenuse, and every primitive triple is reached exactly once,
+    so pruning at c > n misses none. No primes, no circle points.
+    """
+    legs = defaultdict(list)
+    todo = [(3, 4, 5)]
+    while todo:
+        a, b, c = todo.pop()
+        if c > n:
+            continue
+        legs[c].append((min(a, b), max(a, b)))
+        todo += [
+            (a - 2 * b + 2 * c, 2 * a - b + 2 * c, 2 * a - 2 * b + 3 * c),
+            (a + 2 * b + 2 * c, 2 * a + b + 2 * c, 2 * a + 2 * b + 3 * c),
+            (-a + 2 * b + 2 * c, -2 * a + b + 2 * c, -2 * a + 2 * b + 3 * c),
+        ]
+    return {c: sorted(pairs) for c, pairs in legs.items()}
+
+
+def test_barning_hall_walk_matches_the_brute_scan_below_1e4():
+    tree = barning_hall(10**4)
+    for c in range(1, 10**4 + 1):
+        assert [(t.a, t.b) for t in oracle.brute_triples(c)] == tree.get(c, []), c
+
+
+def test_enumeration_and_count_match_the_barning_hall_walk_below_2e4():
+    n = 2 * 10**4
+    tree = barning_hall(n)
+    for c in range(1, n + 1):
+        expected = [NormalizedTriple(a, b, c) for a, b in tree.get(c, [])]
+        assert structure.enumerate_triples(c) == expected, c
+        assert structure.count_triples(c) == len(expected), c
 
 
 def spec_triples_scan(c):

@@ -16,7 +16,6 @@ from circletriples.primes import primes_below
 from circletriples.structure import (
     BasisFactorization,
     GaussianFactorization,
-    canonical_irreducible,
     count_triples,
     enumerate_triples,
     factor_point,
@@ -59,13 +58,11 @@ def factorizations(draw, min_terms=0):
 
 class TestCanonicalIrreducible:
     def test_examples(self):
-        assert canonical_irreducible(5) == GaussianInt(1, 2)
-        assert canonical_irreducible(2) == GaussianInt(1, 1)
-        assert canonical_irreducible(7) == GaussianInt(7)
-
-    def test_rejects_composites(self):
-        with pytest.raises(ValueError):
-            canonical_irreducible(65)
+        # 2 = -i (1 + i)**2 ramifies; 7 = 3 (mod 4) stays irreducible
+        f = gaussian_factorize(GaussianInt(2))
+        assert f.unit == GaussianInt(0, -1)
+        assert f.factors == ((GaussianInt(1, 1), 2),)
+        assert gaussian_factorize(GaussianInt(7)).factors == ((GaussianInt(7), 1),)
 
 
 class TestGaussianFactorize:
@@ -351,6 +348,12 @@ class TestEnumeration:
     def test_hypotenuse_certificate_survives_optimization(self, monkeypatch):
         monkeypatch.setattr("circletriples.structure.pt", lambda x: NormalizedTriple(3, 4, 5))
         with pytest.raises(ArithmeticError, match="another hypotenuse"):
+            enumerate_triples(65)
+
+    def test_distinctness_certificate_survives_optimization(self, monkeypatch):
+        # both sign patterns of 65 = 5 * 13 give one of its two triples
+        monkeypatch.setattr("circletriples.structure.pt", lambda x: NormalizedTriple(16, 63, 65))
+        with pytest.raises(ArithmeticError, match="more than once"):
             enumerate_triples(65)
 
     def test_count_of_prime_powers_near_1e12(self):
