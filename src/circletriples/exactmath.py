@@ -2,14 +2,16 @@
 
 Gaussian integers (elements m + n*i of Z[i]) get their own small class; the
 stdlib has nothing exact for them. The package divides only exactly, with
-try_divexact. Division with remainder (divmod) rounds the quotient
-coordinates to nearest, so the remainder's norm is at most half the
-divisor's. Operands are GaussianInts only, so that equal values hash
-equal. No package code calls divmod, and no product reaches __rmul__; both
-stay because the benchmark's tracer (perfbench/tracer.py) wraps them by name.
+try_divexact; divmod rounds the quotient coordinates to nearest. Components
+are ints (or define __index__): a float or a string is a TypeError. Operands
+are GaussianInts only, so that equal values hash equal. No package code
+calls divmod, and no product reaches __rmul__; both stay because the
+benchmark's tracer (perfbench/tracer.py) wraps them by name.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 class GaussianInt:
@@ -18,8 +20,8 @@ class GaussianInt:
     __slots__ = ("re", "im")
 
     def __init__(self, re: int = 0, im: int = 0):
-        self.re = int(re)
-        self.im = int(im)
+        self.re = operator.index(re)
+        self.im = operator.index(im)
 
     def __repr__(self):
         return f"GaussianInt({self.re}, {self.im})"

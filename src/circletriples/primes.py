@@ -7,32 +7,28 @@ every circle basis point downstream.
 
 from __future__ import annotations
 
-import bisect
 import math
+import operator
 import random
 from enum import Enum
 from typing import Optional
 
-# psi_k is the smallest strong pseudoprime to the first k of _MR_BASES (OEIS
-# A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson and Webster, Math. Comp.
-# 86, 2017), so the first k bases prove every odd n < psi_k. psi_7 = psi_8 and
-# psi_9 = psi_10 = psi_11: an n at or above one of these needs the next
-# distinct entry's bases.
+# (psi_k, k) for each distinct psi_k, the smallest strong pseudoprime to the
+# first k of _MR_BASES (OEIS A014233; Jaeschke, Math. Comp. 61, 1993; Sorenson
+# and Webster, Math. Comp. 86, 2017), with the least such k: the first k bases
+# prove every n < psi_k
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PSI = (
-    2_047,
-    1_373_653,
-    25_326_001,
-    3_215_031_751,
-    2_152_302_898_747,
-    3_474_749_660_383,
-    341_550_071_728_321,
-    341_550_071_728_321,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461,
-    3_317_044_064_679_887_385_961_981,
+_MR_PROVEN = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
 )
 
 # factorize finds the primes below this that divide c with one gcd against
@@ -61,9 +57,6 @@ def _miller_rabin(n: int, bases) -> bool:
         d //= 2
         r += 1
     for a in bases:
-        a %= n
-        if a == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -82,18 +75,17 @@ def is_prime(n: int) -> bool:
     Below the trial limit the answer is a lookup in the trial primes. Below
     psi_13, Miller-Rabin with the first k prime bases for the least k with
     n < psi_k decides it. Above, a fixed batch of pseudorandom witnesses
-    seeded by n joins the 13 bases.
+    seeded by n joins the 13 bases. No trial pass is needed: a base a | n
+    (2, for even n) leaves a**d mod n a multiple of a, never 1 or n - 1.
     """
+    n = operator.index(n)
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
     if n < _TRIAL_LIMIT:
         return n in _TRIAL_PRIME_SET
-    for p in _MR_BASES:
-        if n % p == 0:
-            return False
-    k = bisect.bisect_right(_MR_PSI, n)  # n < psi_(k+1), the first psi above n
-    if k < len(_MR_PSI):
-        return _miller_rabin(n, _MR_BASES[: k + 1])
+    for psi, k in _MR_PROVEN:
+        if n < psi:
+            return _miller_rabin(n, _MR_BASES[:k])
     rng = random.Random(n)
     extra = tuple(rng.randrange(2, n - 1) for _ in range(24))
     return _miller_rabin(n, _MR_BASES + extra)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from circletriples import structure
+from circletriples import circle, structure
 from circletriples.circle import NormalizedTriple, point_from_triple, pt
 from circletriples.cli import main
 from circletriples.oracle import MAX_BRUTE_HYPOTENUSE
@@ -288,6 +288,18 @@ def test_pow_and_table_refuse_beyond_the_digit_limit(capsys, monkeypatch, defaul
     assert code == 0 and out.split()[-1] == str(5**6152)
 
 
+def test_pow_and_table_refuse_a_huge_exponent(capsys, default_digit_limit):
+    # k*log10(p) would overflow a float for k = 10**400
+    for argv in (["pow", "5", str(10**400)], ["pow", "5", str(-(10**400))], ["table", str(10**400)]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, ""), argv[:2]
+        assert elapsed < 0.1, argv[:2]
+        assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1, argv[:2]
+        assert "more than 4300 decimal digits" in err, argv[:2]
+
+
 def test_pow_and_table_run_without_a_digit_limit_function(capsys, monkeypatch):
     # Python 3.10.0-3.10.6 has no sys.get_int_max_str_digits; that means no limit
     monkeypatch.delattr(sys, "get_int_max_str_digits")
@@ -322,6 +334,36 @@ def test_selftest_failure_on_a_broken_enumerator_survives_optimization(capsys, m
     code, out, _ = run(capsys, "selftest")
     assert code == 1
     assert out.startswith("FAIL enumeration_matches_oracle: 5\n")
+    code, out, _ = run(capsys, "selftest", "--json")
+    assert code == 1
+    assert {r["check"]: r["ok"] for r in json.loads(out)["result"]} == {
+        "enumeration_matches_oracle": False,
+        "two_squares_matches_search": True,
+        "factorization_roundtrip": True,
+        "projection_roundtrip": True,
+        "orbits_have_size_8": True,
+    }
+
+
+def test_project_certificate_error_survives_optimization(capsys, monkeypatch):
+    # a failed certificate ends the call with one error line, not a traceback
+    real = circle.stereo_unproject
+    monkeypatch.setattr(circle, "stereo_unproject", lambda r: real(r + 1))
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "project", "3/5", "4/5", *json_flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: stereo_project(") and err.count("\n") == 1, err
+
+
+def test_selftest_certificate_error_survives_optimization(capsys, monkeypatch):
+    # an ArithmeticError fails its own check and the other four still run
+    def broken(c):
+        raise ArithmeticError(f"enumerate_triples({c}): certificate failed")
+
+    monkeypatch.setattr(structure, "enumerate_triples", broken)
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL enumeration_matches_oracle: enumerate_triples(1): certificate failed"
     code, out, _ = run(capsys, "selftest", "--json")
     assert code == 1
     assert {r["check"]: r["ok"] for r in json.loads(out)["result"]} == {

@@ -72,6 +72,20 @@ class TestGaussianInt:
         with pytest.raises(TypeError):
             divmod(GaussianInt(5), 2)
 
+    def test_components_are_exact_ints_only(self):
+        # int() would truncate 2.7 to 2 and parse "3"
+        with pytest.raises(TypeError):
+            GaussianInt(2.7, 0)
+        with pytest.raises(TypeError):
+            GaussianInt("3", 1)
+        with pytest.raises(TypeError):
+            GaussianInt(1, Fraction(1))
+
+    def test_components_accept_sympy_integers(self):
+        sympy = pytest.importorskip("sympy")
+        z = GaussianInt(sympy.Integer(3), sympy.Integer(-4))
+        assert z == GaussianInt(3, -4) and type(z.re) is int and z.norm() == 25
+
     def test_pow(self):
         assert GaussianInt(1, 2) ** 4 == GaussianInt(-7, -24)
         assert GaussianInt(1, 2) ** 0 == GaussianInt(1)

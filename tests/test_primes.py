@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -65,6 +66,62 @@ def test_is_prime_rejects_every_psi_k(k):
     assert primes._miller_rabin(psi, BASES[:last])
     assert last == 13 or not primes._miller_rabin(psi, BASES[: last + 1])
     assert not is_prime(psi)
+
+
+def test_proven_table_is_the_distinct_psi_k_with_their_least_k():
+    assert primes._MR_PROVEN == tuple((psi, PSI.index(psi) + 1) for psi in sorted(set(PSI)))
+
+
+def test_is_prime_passes_the_bases_of_the_first_psi_above_n(monkeypatch):
+    real, seen = primes._miller_rabin, []
+
+    def recording(n, bases):
+        seen.append(tuple(bases))
+        return real(n, bases)
+
+    monkeypatch.setattr(primes, "_miller_rabin", recording)
+    centres = sorted(set(PSI)) + [10**4]
+    candidates = {n for c in centres for n in range(c - 60, c + 61)}
+    odd = [n for n in sorted(candidates) if all(n % a for a in BASES)]
+    assert len(odd) > 50 and any(n >= PSI_13 for n in odd)
+    for n in odd:
+        seen.clear()
+        is_prime(n)
+        if n < 10**4:
+            assert seen == [], n  # a lookup in the trial primes
+        elif n < PSI_13:
+            # the rule of a bisect over all 13 psi_k: the bases of the first psi above n
+            assert seen == [BASES[: bisect.bisect_right(PSI, n) + 1]], n
+        else:
+            assert len(seen) == 1 and seen[0][:13] == BASES and len(seen[0]) == 13 + 24, n
+
+
+def test_is_prime_rejects_the_multiples_of_every_base():
+    for a in BASES:
+        for n in range(-(-10**4 // a) * a, 10**4 + 2000, a):
+            assert not is_prime(n), (a, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_prime(7.0),
+        lambda: is_prime(10007.0),
+        lambda: classify(13.0),
+        lambda: two_squares(13.0),
+    ],
+    ids=["is_prime(7.0)", "is_prime(10007.0)", "classify(13.0)", "two_squares(13.0)"],
+)
+def test_is_prime_takes_exact_integers_only(call):
+    # 7.0 and 13.0 would answer from the trial primes, 10007.0 fail inside pow
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_is_prime_accepts_sympy_integers():
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(sympy.Integer(10007)) and not is_prime(sympy.Integer(PSI_12))
+    assert classify(sympy.Integer(13)) is PrimeClass.P1
 
 
 def test_is_prime_matches_sympy_around_every_psi_k():
